@@ -7,13 +7,13 @@ input (structured NotApplicable document, never a wrong number).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .formulas import (NotApplicableError, ep_dispatch, ep_han, ep_main,
+from .formulas import (NotApplicableError, ep_dispatch, ep_formula,
                        fthreshold_formula, tsd_formula)
-from .oracle import (EResult, e_degree_oracle, socle_degree_oracle,
-                     wlp_rank_profile)
+from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
 from .verify import (_multisets_simplex, canonical_json, discrepancies_csv,
                      fthreshold_convergence, run_grid)
 
@@ -37,7 +37,9 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process: parse_args does not modify the parser."""
     parser = _Parser(prog="nonkoszul",
                      description="Minimal non-Koszul relation degrees over F_p, "
                                  "socle degrees, diagonal F-thresholds, and "
@@ -132,15 +134,7 @@ def _cmd_e(args) -> tuple[str, int]:
         if args.method == "oracle":
             res = e_degree_oracle(args.p, d)
         elif args.method == "formula":
-            if len(d) == 3:
-                value = ep_han(args.p, *d)
-                res = EResult(value=value, method="han",
-                              degenerate=d[-1] > sum(x - 1 for x in d[:-1]),
-                              witness=None)
-            elif len(d) >= 4:
-                res = ep_main(args.p, d)
-            else:
-                raise NotApplicableError(("formula_route",))
+            res = ep_formula(args.p, d)
         else:
             res = ep_dispatch(args.p, d)
     except NotApplicableError as exc:

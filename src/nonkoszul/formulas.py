@@ -201,23 +201,25 @@ def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
     return best
 
 
-def ep_dispatch(p: int, d, want_witness: bool = True) -> EResult:
-    """Route to the cheapest valid method: two-variable formula for n = 2,
-    the main formula for applicable n >= 3, the rank oracle otherwise."""
-    d = _check_degrees(d)
+def ep_formula(p: int, d) -> EResult:
+    """Closed form for the tuple: the two-variable formula for n = 2, the
+    main formula for n >= 3.  Shorter tuples have no closed-form route."""
     if len(d) == 3:
-        try:
-            value = ep_han(p, *d)
-            return EResult(value=value, method="han",
-                           degenerate=_degenerate(d), witness=None)
-        except NotApplicableError:
-            return e_degree_oracle(p, d, want_witness=want_witness)
+        return EResult(value=ep_han(p, *d), method="han",
+                       degenerate=_degenerate(d), witness=None)
     if len(d) >= 4:
-        try:
-            return ep_main(p, d)
-        except NotApplicableError:
-            return e_degree_oracle(p, d, want_witness=want_witness)
-    return e_degree_oracle(p, d, want_witness=want_witness)
+        return ep_main(p, d)
+    raise NotApplicableError(("formula_route",))
+
+
+def ep_dispatch(p: int, d, want_witness: bool = True) -> EResult:
+    """Route to the cheapest valid method: the closed form of `ep_formula`
+    where it applies, the rank oracle otherwise."""
+    d = _check_degrees(d)
+    try:
+        return ep_formula(p, d)
+    except NotApplicableError:
+        return e_degree_oracle(p, d, want_witness=want_witness)
 
 
 def _e_value(result) -> int:

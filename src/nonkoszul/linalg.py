@@ -1,12 +1,17 @@
 """Exact dense linear algebra over prime fields.
 
-Matrices carry int64 residues in [0, p).  Rank uses a blocked Gaussian
-elimination whose trailing updates run as float64 matrix products; with panel
-width 128 and p below 2^23 every intermediate value stays under 2^53, so the
-BLAS path is exact.  Larger primes fall back to an unblocked int64 routine.
-The pivot choice (first nonzero entry in the current column, scanning columns
-left to right) matches the reference eliminator, so both paths walk the same
-echelon form.
+Matrices carry int64 residues in [0, p) with p < 2^31, so the product of two
+residues stays below 2^62 and every step of elimination is exact in int64.
+One routine, `_echelon`, does all elimination: it scans columns left to
+right, takes the first nonzero entry at or below the current row as pivot,
+scales the pivot row to 1, and clears the column only in the rows below that
+have a nonzero there.  The oracles build structured multiplication maps, and
+updating only the live rows keeps them sparse; on them this beats panelled
+float64 elimination with BLAS products.  BLAS would win on unstructured dense
+random matrices, which no oracle builds.
+
+`rank` counts the pivots; `kernel_witness` back-substitutes on the same
+echelon form, reducing each product mod p before summing.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modp import check_prime
-
-_PANEL = 128
-_FLOAT_PRIME_LIMIT = 1 << 23   # _PANEL * (p-1)^2 + p < 2^53 for p below this
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,18 @@ def matrix_from_rows(rows, p: int) -> MatrixFp:
     return MatrixFp(np.mod(a, p), p)
 
 
-def _rank_reference(a: np.ndarray, p: int) -> int:
-    """Unblocked elimination, int64 throughout.  Used directly for big primes
-    and as the correctness yardstick for the blocked path."""
+def _echelon(a: np.ndarray, p: int) -> list[int]:
+    """Reduce `a` in place to row echelon form; return the pivot columns.
+
+    Row i of the result has a 1 in column pivots[i] and zeros to its left.
+    """
     m, n = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -78,74 +82,13 @@ def _rank_reference(a: np.ndarray, p: int) -> int:
         if live.size:
             rows = r + 1 + live
             a[rows, c:] = (a[rows, c:] - np.outer(below[live], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def _rank_blocked(a: np.ndarray, p: int) -> int:
-    """Panelled elimination on a float64 copy; trailing updates are GEMMs."""
-    m, n = a.shape
-    r = 0
-    c0 = 0
-    while r < m and c0 < n:
-        c1 = min(c0 + _PANEL, n)
-        piv_cols: list[int] = []
-        invs: list[float] = []
-        pr = r
-        for c in range(c0, c1):
-            if pr == m:
-                break
-            col = a[pr:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            piv = pr + int(nz[0])
-            if piv != pr:
-                a[[pr, piv], c0:] = a[[piv, pr], c0:]
-            inv = float(pow(int(a[pr, c]), -1, p))
-            if inv != 1.0:
-                seg = a[pr, c:c1]
-                seg *= inv
-                np.mod(seg, p, out=seg)
-            if pr + 1 < m:
-                # multipliers stay parked in column c for the trailing GEMM
-                block = a[pr + 1:, c + 1:c1]
-                block -= np.outer(a[pr + 1:, c], a[pr, c + 1:c1])
-                np.mod(block, p, out=block)
-            piv_cols.append(c)
-            invs.append(inv)
-            pr += 1
-        k = len(piv_cols)
-        if k and c1 < n:
-            # pivot rows first: their trailing parts feed the update below
-            for i in range(k):
-                row = a[r + i, c1:]
-                if i:
-                    row -= a[r + i, piv_cols[:i]] @ a[r:r + i, c1:]
-                    np.mod(row, p, out=row)
-                if invs[i] != 1.0:
-                    row *= invs[i]
-                    np.mod(row, p, out=row)
-            if pr < m:
-                trail = a[pr:, c1:]
-                trail -= a[pr:, piv_cols] @ a[r:r + k, c1:]
-                np.mod(trail, p, out=trail)
-        r = pr
-        c0 = c1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 def rank(mat: MatrixFp) -> int:
     """Rank of the matrix over F_p."""
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    if mat.p < _FLOAT_PRIME_LIMIT:
-        return _rank_blocked(np.array(mat.data, dtype=np.float64), mat.p)
-    return _rank_reference(mat.data.copy(), mat.p)
-
-
-def nullity(mat: MatrixFp) -> int:
-    return mat.cols - rank(mat)
+    return len(_echelon(mat.data.copy(), mat.p))
 
 
 def kernel_witness(mat: MatrixFp) -> tuple[int, ...] | None:
@@ -155,39 +98,16 @@ def kernel_witness(mat: MatrixFp) -> tuple[int, ...] | None:
     column to 1 and every other free column to 0, then back-substitute.
     """
     p = mat.p
-    m, n = mat.data.shape
-    if n == 0:
-        return None
     a = mat.data.copy()
-    pivots: list[tuple[int, int]] = []   # (row, col), rows normalised to 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        below = a[r + 1:, c]
-        live = np.nonzero(below)[0]
-        if live.size:
-            rows = r + 1 + live
-            a[rows, c:] = (a[rows, c:] - np.outer(below[live], a[r, c:])) % p
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(n) if c not in pivot_cols]
+    pivots = _echelon(a, p)
+    pivot_cols = set(pivots)
+    free = [c for c in range(mat.cols) if c not in pivot_cols]
     if not free:
         return None
-    v = np.zeros(n, dtype=np.int64)
+    v = np.zeros(mat.cols, dtype=np.int64)
     v[free[-1]] = 1
-    for row, c in reversed(pivots):
-        s = int(a[row, c + 1:] @ v[c + 1:])
+    for row, c in reversed(list(enumerate(pivots))):
+        # each product is reduced below p first, so the sum fits in int64
+        s = int((a[row, c + 1:] * v[c + 1:] % p).sum())
         v[c] = (-s) % p
     return tuple(int(x) for x in v)

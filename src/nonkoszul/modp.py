@@ -36,19 +36,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated prime modulus."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-
-    def __int__(self) -> int:
-        return self.p
-
-
 def _small_binomial_mod(n: int, k: int, p: int) -> int:
     # n, k < p; multiplicative form keeps every intermediate below p^2
     if k < 0 or k > n:
@@ -117,15 +104,6 @@ def q_split(d: int, q: int) -> QSplit:
     return QSplit(d=d, q=q, k=k, r=r)
 
 
-def is_power_of(q: int, p: int) -> bool:
-    """True iff q = p^e for some e >= 0."""
-    if q < 1:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 def largest_power_leq(p: int, x: int) -> tuple[int, int]:
     """Largest q = p^e with q <= x, returned as (q, e). Requires x >= 1."""
     if x < 1:
@@ -135,23 +113,3 @@ def largest_power_leq(p: int, x: int) -> tuple[int, int]:
         q *= p
         e += 1
     return q, e
-
-
-@dataclass(frozen=True)
-class PrimePowerContext:
-    """A prime p together with a fixed power q = p^e."""
-
-    p: int
-    e: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if self.e < 0:
-            raise ValueError("exponent e must be nonnegative")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
-
-    def split(self, d: int) -> QSplit:
-        return q_split(d, self.q)

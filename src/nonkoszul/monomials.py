@@ -8,7 +8,6 @@ so every matrix and witness built on top is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -74,29 +73,3 @@ def _slice_cached(caps: tuple[int, ...], degree: int) -> np.ndarray:
 def slice_array(caps: Sequence[int], degree: int) -> np.ndarray:
     """Degree slice as a read-only (count, m) int64 array, rows in descending lex order."""
     return _slice_cached(check_box(caps), int(degree))
-
-
-@dataclass(frozen=True)
-class GradedSlice:
-    """Ordered monomial basis of one graded piece of a box quotient."""
-
-    box: tuple[int, ...]
-    degree: int
-    basis: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.basis)
-
-
-def graded_slice(caps: Sequence[int], degree: int) -> GradedSlice:
-    caps = check_box(caps)
-    arr = slice_array(caps, degree)
-    return GradedSlice(box=caps, degree=int(degree),
-                       basis=tuple(tuple(int(x) for x in row) for row in arr))
-
-
-def monomial_ideal_member(exponents: Sequence[int], caps: Sequence[int]) -> bool:
-    """True iff x^exponents is divisible by some generator x_i^{caps_i}."""
-    if len(exponents) != len(caps):
-        raise ValueError("exponent vector and caps have different lengths")
-    return any(e >= c for e, c in zip(exponents, caps))

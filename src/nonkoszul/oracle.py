@@ -141,6 +141,7 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     for j in range(power, top + power + 1):
         src_dim = H[j - power]
         tgt_dim = H[j] if j <= top else 0
+        mat = None
         if tgt_dim >= src_dim:
             mat = mult_map(caps, j - power, power, p)
             if rank(mat) == src_dim:
@@ -148,7 +149,9 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
         # more columns than rank: kernel exists at this degree
         wit = None
         if want_witness:
-            vec = kernel_witness(mult_map(caps, j - power, power, p))
+            if mat is None:
+                mat = mult_map(caps, j - power, power, p)
+            vec = kernel_witness(mat)
             wit = KernelWitness(box=caps, degree=j - power, coefficients=vec)
         return EResult(value=j, method="oracle",
                        degenerate=power > top, witness=wit)

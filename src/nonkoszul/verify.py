@@ -8,8 +8,6 @@ raised; a verification run is data.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -27,23 +25,6 @@ def canonical_json(doc) -> str:
     """Stable rendering: sorted keys, no whitespace, trailing newline."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True) + "\n"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when THREADS asks for it."""
-    items = list(items)
-    t = _threads()
-    if t == 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -143,6 +124,21 @@ class _OracleCache:
 
 def _box_feasible(d, cap: int) -> bool:
     return max(hilbert_function(d)) <= cap
+
+
+def _point_key(rec: dict) -> tuple:
+    """The grid point a discrepancy record belongs to."""
+    return (rec["p"], tuple(rec["d"] if "d" in rec else rec["K"]), rec.get("a"))
+
+
+def _totals(enumerated: int, skipped: int, discrepancies: list[dict]) -> dict:
+    """Totals block of a grid report.  A point agrees when it was checked and
+    has no discrepancy record, however many records a failing point has."""
+    checked = enumerated - skipped
+    failing = len({_point_key(rec) for rec in discrepancies})
+    return {"enumerated": enumerated, "checked": checked,
+            "agreements": checked - failing, "skipped": skipped,
+            "discrepancies": len(discrepancies)}
 
 
 def verify_e_grid(spec: GridSpec) -> dict:
@@ -249,7 +245,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                         continue
                 points.append((p, n, d))
             enumerated += len(points)
-            for out in _pmap(check_point, points):
+            for out in map(check_point, points):
                 buckets[out["bucket"]] += 1
                 for key, cnt in out["checks"].items():
                     checks[key] += cnt
@@ -272,19 +268,13 @@ def verify_e_grid(spec: GridSpec) -> dict:
                             "values": {",".join(map(str, k)): v
                                        for k, v in sorted(values.items())}})
 
-    points_with_disc = len({(rec["p"], tuple(rec["d"])) for rec in discrepancies})
-    checked = enumerated - buckets["skipped"]
-    report = {
+    return {
         "spec": spec.to_dict(),
-        "totals": {"enumerated": enumerated, "checked": checked,
-                   "agreements": checked - points_with_disc,
-                   "skipped": buckets["skipped"],
-                   "discrepancies": len(discrepancies)},
+        "totals": _totals(enumerated, buckets["skipped"], discrepancies),
         "buckets": buckets,
         "checks": checks,
         "discrepancies": discrepancies,
     }
-    return report
 
 
 def _profile_verdict(p: int, d, cache: _OracleCache) -> bool:
@@ -330,7 +320,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                 return {"skip": False, "d": d, "profile": profile,
                         "disc": disc}
 
-            for out in _pmap(check_obs, points):
+            for out in map(check_obs, points):
                 if out["skip"]:
                     buckets["skipped"] += 1
                     continue
@@ -365,7 +355,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                     out["true_point"] = (3, p, applicability(p, d).q, tuple(d))
                 return out
 
-            for out in _pmap(check_n3, points):
+            for out in map(check_n3, points):
                 buckets[out["bucket"]] += 1
                 discrepancies.extend(out["disc"])
                 if out["true_point"]:
@@ -395,7 +385,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                 out["true_point"] = (4, p, applicability(p, d).q, tuple(d))
             return out
 
-        for out in _pmap(check_n4, points):
+        for out in map(check_n4, points):
             buckets[out["bucket"]] += 1
             discrepancies.extend(out["disc"])
             if out["true_point"]:
@@ -424,7 +414,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                                     "d": list(d), "profile": True})
             return out
 
-        for out in _pmap(check_n5, points):
+        for out in map(check_n5, points):
             buckets[out["bucket"]] += 1
             discrepancies.extend(out["disc"])
 
@@ -435,13 +425,9 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             discrepancies.append({"check": "feasibility_filter", "p": p,
                                   "q": q, "n": n, "d": list(d)})
 
-    checked = enumerated - buckets["skipped"]
     return {
         "spec": spec.to_dict(),
-        "totals": {"enumerated": enumerated, "checked": checked,
-                   "agreements": checked - len(discrepancies),
-                   "skipped": buckets["skipped"],
-                   "discrepancies": len(discrepancies)},
+        "totals": _totals(enumerated, buckets["skipped"], discrepancies),
         "buckets": buckets,
         "discrepancies": discrepancies,
     }
@@ -476,19 +462,15 @@ def verify_tsd_grid(spec: GridSpec) -> dict:
                                      "oracle": o})
                     return {"skip": False, "disc": disc}
 
-                for out in _pmap(check, points):
+                for out in map(check, points):
                     if out["skip"]:
                         buckets["skipped"] += 1
                     else:
                         buckets["checked"] += 1
                     discrepancies.extend(out["disc"])
-    checked = buckets["checked"]
     return {
         "spec": spec.to_dict(),
-        "totals": {"enumerated": enumerated, "checked": checked,
-                   "agreements": checked - len(discrepancies),
-                   "skipped": buckets["skipped"],
-                   "discrepancies": len(discrepancies)},
+        "totals": _totals(enumerated, buckets["skipped"], discrepancies),
         "buckets": buckets,
         "discrepancies": discrepancies,
     }

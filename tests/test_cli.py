@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from nonkoszul.monomials import slice_array
+from nonkoszul.oracle import mult_map
 from nonkoszul.verify import canonical_json
 
 CMD = [sys.executable, "-m", "nonkoszul.cli"]
@@ -36,6 +39,29 @@ def test_e_oracle_witness():
     assert doc["value"] == 4
     assert doc["witness"]["terms"] == [
         "2*x1^3", "1*x1^2*x2", "2*x1*x2^2", "1*x2^3"]
+
+
+def test_e_oracle_witness_at_large_prime():
+    # products of residues near 2^31 overflow int64 when summed unreduced;
+    # the printed witness must still map to zero, checked in Python ints
+    p = 2**31 - 1
+    proc = run_cli("e", "--p", str(p), "--d", "3,3,3,3,3", "--method", "oracle")
+    doc = json.loads(proc.stdout)
+    box, degree = (3, 3, 3, 3), doc["witness"]["degree"]
+    assert doc["value"] == degree + 3
+    index = {tuple(int(x) for x in row): i
+             for i, row in enumerate(slice_array(box, degree))}
+    vec = np.zeros(len(index), dtype=object)
+    for term in doc["witness"]["terms"]:
+        coeff, *factors = term.split("*")
+        expo = [0] * len(box)
+        for factor in factors:
+            var, _, power = factor.partition("^")
+            expo[int(var[1:]) - 1] = int(power or 1)
+        vec[index[tuple(expo)]] = int(coeff)
+    assert any(vec)
+    image = mult_map(box, degree, 3, p).data.astype(object) @ vec
+    assert not np.any(image % p)
 
 
 def test_e_formula_refusal_exits_2():

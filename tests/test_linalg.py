@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonkoszul.linalg import (
-    MatrixFp,
-    _rank_blocked,
-    _rank_reference,
-    kernel_witness,
-    matrix_from_rows,
-    nullity,
-    rank,
-)
+from nonkoszul.linalg import MatrixFp, kernel_witness, matrix_from_rows, rank
+from nonkoszul.oracle import mult_map
+
+P31 = 2**31 - 1   # the largest prime the package accepts
 
 
 def random_matrix(rng, rows, cols, p, target_rank=None):
@@ -19,8 +14,22 @@ def random_matrix(rng, rows, cols, p, target_rank=None):
     else:
         left = rng.integers(0, p, size=(rows, target_rank))
         right = rng.integers(0, p, size=(target_rank, cols))
+        if target_rank * (p - 1) ** 2 >= 2**63:
+            # the int64 product would overflow; Python ints stay exact
+            left, right = left.astype(object), right.astype(object)
         data = (left @ right) % p
     return MatrixFp(np.asarray(data, dtype=np.int64), p)
+
+
+def assert_kernel_vector(m, v):
+    """v is a nonzero reduced kernel vector of m, checked in Python ints
+    because m.data @ v can overflow int64 for p near 2^31."""
+    assert v is not None
+    vec = np.asarray(v, dtype=object)
+    assert vec.shape == (m.cols,)
+    assert any(x != 0 for x in vec)
+    assert all(0 <= x < m.p for x in vec)
+    assert not np.any((m.data.astype(object) @ vec) % m.p)
 
 
 def rank_by_rref_over_rationals(data, p):
@@ -68,7 +77,7 @@ def test_matrix_from_rows():
 def test_rank_small_known():
     m = matrix_from_rows([[1, 2], [2, 4]], 5)
     assert rank(m) == 1
-    assert nullity(m) == 1
+    assert m.cols - rank(m) == 1
     m = matrix_from_rows([[1, 0], [0, 1]], 5)
     assert rank(m) == 2
 
@@ -77,7 +86,7 @@ def test_rank_zero_and_empty():
     assert rank(matrix_from_rows([[0, 0], [0, 0]], 3)) == 0
     empty = MatrixFp(np.zeros((0, 4), dtype=np.int64), 3)
     assert rank(empty) == 0
-    assert nullity(empty) == 4
+    assert kernel_witness(empty) == (0, 0, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,27 +98,34 @@ def test_rank_agrees_with_rational_elimination(rows, cols, p, seed):
     assert rank(m) == rank_by_rref_over_rationals(m.data, p)
 
 
-def test_blocked_matches_reference_across_shapes():
+def test_rank_across_shapes():
+    # row rank equals column rank, and a product through tr columns has
+    # rank at most tr
     rng = np.random.default_rng(20240517)
-    for p in (2, 3, 5, 101):
+    for p in (2, 3, 5, 101, P31):
         for rows, cols in [(1, 200), (200, 1), (130, 260), (300, 140),
                            (257, 257)]:
             tr = int(rng.integers(0, min(rows, cols) + 1))
             m = random_matrix(rng, rows, cols, p, target_rank=tr)
-            got = _rank_blocked(np.array(m.data, dtype=np.float64), p)
-            ref = _rank_reference(m.data.copy(), p)
-            assert got == ref
-            assert got <= tr
+            r = rank(m)
+            assert r == rank(MatrixFp(np.ascontiguousarray(m.data.T), p))
+            assert r <= tr
 
 
-def test_large_prime_falls_back_to_exact_path():
-    # primes past the float-safe window take the integer route; the result
-    # must still match the reference
-    p = 8388617  # first prime above 2**23
+def test_kernel_witness_at_large_prime():
+    # residues near 2^31 make every product of two entries close to 2^62, so
+    # back-substitution must reduce each product before it sums them
     rng = np.random.default_rng(7)
-    m = random_matrix(rng, 40, 40, p, target_rank=17)
-    assert rank(m) == _rank_reference(m.data.copy(), p)
-    assert rank(m) <= 17
+    mats = [random_matrix(rng, rows, cols, P31, target_rank=tr)
+            for rows, cols, tr in [(5, 9, 3), (12, 12, 7), (40, 40, 17),
+                                   (20, 30, 15), (30, 20, 20)]]
+    mats += [mult_map((3, 3, 3, 3), deg, 3, P31) for deg in range(9)]
+    for m in mats:
+        v = kernel_witness(m)
+        if rank(m) == m.cols:
+            assert v is None
+        else:
+            assert_kernel_vector(m, v)
 
 
 def test_kernel_witness_none_for_full_column_rank():
@@ -118,27 +134,20 @@ def test_kernel_witness_none_for_full_column_rank():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([2, 3, 7]),
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([2, 3, 7, P31]),
        st.integers(0, 2**31 - 1))
 def test_kernel_witness_is_a_kernel_vector(rows, cols, p, seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, rows, cols, p)
     v = kernel_witness(m)
-    if nullity(m) == 0:
+    if m.cols - rank(m) == 0:
         assert v is None
     else:
-        assert v is not None
-        vec = np.asarray(v, dtype=np.int64)
-        assert vec.shape == (cols,)
-        assert np.any(vec != 0)
-        assert np.all((m.data @ vec) % p == 0)
-        assert np.all((0 <= vec) & (vec < p))
+        assert_kernel_vector(m, v)
 
 
 def test_kernel_witness_on_wide_blocked_sizes():
     rng = np.random.default_rng(99)
     for p in (2, 5):
         m = random_matrix(rng, 150, 300, p, target_rank=140)
-        v = np.asarray(kernel_witness(m), dtype=np.int64)
-        assert np.all((m.data @ v) % p == 0)
-        assert np.any(v != 0)
+        assert_kernel_vector(m, kernel_witness(m))

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonkoszul.modp import (
-    PrimeModulus,
     binomial_mod,
     check_prime,
-    is_power_of,
     is_prime,
     largest_power_leq,
     multinomial_mod,
@@ -28,13 +26,6 @@ def test_check_prime_rejects_composites():
         check_prime(6)
     with pytest.raises(ValueError):
         check_prime(1)
-
-
-def test_prime_modulus_wraps_value():
-    m = PrimeModulus(7)
-    assert m.p == 7
-    with pytest.raises(ValueError):
-        PrimeModulus(9)
 
 
 @given(st.integers(0, 300), st.integers(0, 300), st.sampled_from([2, 3, 5, 7, 31]))
@@ -72,13 +63,6 @@ def test_q_split_examples(d, q, k, r):
     assert (s.k, s.r) == (k, r)
     assert s.k * q + s.r == d
     assert 0 <= s.r < q or q == 1 and s.r == 0
-
-
-def test_is_power_of():
-    assert is_power_of(1, 3)
-    assert is_power_of(27, 3)
-    assert not is_power_of(12, 3)
-    assert not is_power_of(0, 3)
 
 
 @pytest.mark.parametrize("p,bound,q,e", [

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonkoszul.monomials import (
-    graded_slice,
     hilbert_function,
-    monomial_ideal_member,
     slice_array,
     top_degree,
 )
@@ -66,13 +64,6 @@ def test_slice_empty_outside_range():
     assert len(slice_array((2, 2), -1)) == 0
 
 
-def test_graded_slice_wrapper():
-    s = graded_slice((3, 3), 2)
-    assert s.degree == 2
-    assert len(s) == hilbert_function((3, 3))[2]
-    assert s.box == (3, 3)
-
-
 @settings(max_examples=60)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(0, 12))
 def test_slice_count_equals_hilbert(caps, degree):
@@ -80,13 +71,6 @@ def test_slice_count_equals_hilbert(caps, degree):
     values = hilbert_function(caps)
     expected = values[degree] if degree < len(values) else 0
     assert len(slice_array(caps, degree)) == expected
-
-
-def test_monomial_ideal_member():
-    # exponent at or above any cap lies in the ideal
-    assert monomial_ideal_member((3, 0), (3, 3))
-    assert monomial_ideal_member((0, 5), (3, 3))
-    assert not monomial_ideal_member((2, 2), (3, 3))
 
 
 def test_slice_array_is_readonly():

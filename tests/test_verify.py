@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nonkoszul import verify
 from nonkoszul.verify import (
     GridSpec,
     canonical_json,
@@ -90,6 +91,19 @@ def test_wlp_grid_small_clean():
     assert report["buckets"]["obs_equivalence"] > 0
     assert report["buckets"]["n3_classified"] > 0
     assert report["buckets"]["filter_checked"] > 0
+
+
+def test_agreements_count_failing_points_once(monkeypatch):
+    # a forced WLP verdict makes some five-cap points fail twice (wrong
+    # classification and unexpected pass); each still costs one agreement
+    monkeypatch.setattr(verify, "_profile_verdict", lambda p, d, cache: True)
+    report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [3],
+                       "sum_max": 10, "d_max": 6, "d_max_n4": 5,
+                       "d_max_n5": 4})
+    totals = report["totals"]
+    failing = {(rec["p"], tuple(rec["d"])) for rec in report["discrepancies"]}
+    assert totals["discrepancies"] > len(failing)
+    assert totals["agreements"] == totals["checked"] - len(failing) >= 0
 
 
 def test_tsd_grid_small_clean():
