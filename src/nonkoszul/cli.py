@@ -14,8 +14,8 @@ import sys
 from .formulas import (NotApplicableError, ep_dispatch, ep_formula,
                        fthreshold_formula, tsd_formula)
 from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
-from .verify import (_multisets_simplex, canonical_json, discrepancies_csv,
-                     fthreshold_convergence, run_grid)
+from .verify import (MATRIX_CAP, _multisets_simplex, canonical_json,
+                     discrepancies_csv, fthreshold_convergence, run_grid)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     pf.add_argument("--n", type=int, required=True)
     pf.add_argument("--converge", type=int, metavar="E_MAX",
                     help="attach the socle-degree convergence table up to p^E_MAX")
-    pf.add_argument("--matrix-cap", type=int, default=5000)
+    pf.add_argument("--matrix-cap", type=int, default=MATRIX_CAP)
     pf.add_argument("--format", choices=("json", "plain"), default="json")
     pf.add_argument("--output", "-o")
 

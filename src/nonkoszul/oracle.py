@@ -49,6 +49,29 @@ def _power_terms(caps: tuple[int, ...], power: int, p: int):
     return comps[keep], tuple(coeffs)
 
 
+def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
+                  comps, coeffs, p: int) -> MatrixFp:
+    """Matrix of multiplication by sum(coeff * x^comp), every comp of total
+    degree `degree`, from the degree src_degree slice of the box to the degree
+    src_degree + degree slice.  Terms that leave the box contribute nothing."""
+    src = slice_array(caps, src_degree)
+    tgt = slice_array(caps, src_degree + degree)
+    mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    if len(src) and len(tgt):
+        caps_arr = np.array(caps, dtype=np.int64)
+        strides = _strides(caps)
+        code_to_row = np.full(int(np.prod(caps_arr)), -1, dtype=np.int64)
+        code_to_row[tgt @ strides] = np.arange(len(tgt), dtype=np.int64)
+        src_codes = src @ strides
+        # room[i, k]: how far source monomial k may grow in variable i
+        room = np.ascontiguousarray((caps_arr - src).T)
+        for comp, coeff in zip(comps, coeffs):
+            ok = np.nonzero((room > comp[:, None]).all(axis=0))[0]
+            if ok.size:
+                mat[code_to_row[src_codes[ok] + comp @ strides], ok] = coeff
+    return MatrixFp(mat, p)
+
+
 def mult_map(caps, src_degree: int, power: int, p: int) -> MatrixFp:
     """Matrix of multiplication by (x_1 + ... + x_m)^power from the degree
     src_degree slice to the degree src_degree + power slice of the box.
@@ -60,22 +83,8 @@ def mult_map(caps, src_degree: int, power: int, p: int) -> MatrixFp:
     check_prime(p)
     if power < 0:
         raise ValueError("power must be nonnegative")
-    src = slice_array(caps, src_degree)
-    tgt = slice_array(caps, src_degree + power)
-    mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    if len(src) and len(tgt):
-        caps_arr = np.array(caps, dtype=np.int64)
-        strides = _strides(caps)
-        code_to_row = np.full(int(np.prod(caps_arr)), -1, dtype=np.int64)
-        code_to_row[tgt @ strides] = np.arange(len(tgt), dtype=np.int64)
-        comps, coeffs = _power_terms(caps, power, p)
-        for comp, coeff in zip(comps, coeffs):
-            shifted = src + comp
-            ok = np.nonzero((shifted < caps_arr).all(axis=1))[0]
-            if ok.size:
-                rows = code_to_row[shifted[ok] @ strides]
-                mat[rows, ok] = coeff
-    return MatrixFp(mat, p)
+    return _shift_matrix(caps, src_degree, power,
+                         *_power_terms(caps, power, p), p)
 
 
 @dataclass(frozen=True)
@@ -204,26 +213,6 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
     return WlpReport(p=p, box=caps, records=tuple(records), verdict=ok)
 
 
-def _diagonal_shift_map(caps: tuple[int, ...], src_degree: int, a: int, p: int) -> MatrixFp:
-    """Multiplication by x_1^a + ... + x_m^a: a sum of m unit-coefficient
-    shift maps, no multinomial expansion involved."""
-    src = slice_array(caps, src_degree)
-    tgt = slice_array(caps, src_degree + a)
-    mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    if len(src) and len(tgt):
-        caps_arr = np.array(caps, dtype=np.int64)
-        strides = _strides(caps)
-        code_to_row = np.full(int(np.prod(caps_arr)), -1, dtype=np.int64)
-        code_to_row[tgt @ strides] = np.arange(len(tgt), dtype=np.int64)
-        src_codes = src @ strides
-        for i in range(len(caps)):
-            ok = np.nonzero(src[:, i] + a < caps_arr[i])[0]
-            if ok.size:
-                rows = code_to_row[src_codes[ok] + a * strides[i]]
-                mat[rows, ok] = 1
-    return MatrixFp(mat, p)
-
-
 def socle_degree_oracle(p: int, K, a: int) -> int:
     """Top nonzero degree of the box quotient on caps K cut further by the
     diagonal form x_1^a + ... + x_m^a.
@@ -238,13 +227,16 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
         raise ValueError("exponent a must be positive")
     H = hilbert_function(caps)
     top = top_degree(caps)
+    # x_1^a + ... + x_m^a: one unit-coefficient shift per variable
+    comps = a * np.eye(len(caps), dtype=np.int64)
+    coeffs = (1,) * len(caps)
 
     def alive(j: int) -> bool:
         if j > top:
             return False
         if j < a:
             return True
-        return rank(_diagonal_shift_map(caps, j - a, a, p)) < H[j]
+        return rank(_shift_matrix(caps, j - a, a, comps, coeffs, p)) < H[j]
 
     lo, hi = 0, top + 1
     while hi - lo > 1:

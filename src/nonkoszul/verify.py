@@ -8,13 +8,13 @@ raised; a verification run is data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from .formulas import (NotApplicableError, applicability, condition_char0,
-                       ep_han, ep_main, fthreshold_formula, frac_str,
-                       tsd_formula, wlp_classify_n3, wlp_classify_n4,
+                       ep_formula, fthreshold_formula, frac_str, tsd_formula,
+                       wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
 from .monomials import hilbert_function
 from .oracle import (e_degree_oracle, nu_value, socle_degree_oracle,
@@ -25,6 +25,13 @@ def canonical_json(doc) -> str:
     """Stable rendering: sorted keys, no whitespace, trailing newline."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True) + "\n"
+
+
+MATRIX_CAP = 5000    # default bound on the largest graded piece of a box
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,24 +52,35 @@ class GridSpec:
     n: int | None = None
     e_max: int | None = None
     paths: str = "all"              # all | main | han
-    matrix_cap: int = 5000
+    matrix_cap: int = MATRIX_CAP
     symmetry_sum_max: int = 16
-
-    _FIELDS = ("kind", "p_list", "n_list", "sum_max", "d_max", "d_max_n4",
-               "d_max_n5", "K_max", "a_max", "p", "a", "n", "e_max", "paths",
-               "matrix_cap", "symmetry_sum_max")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GridSpec":
-        unknown = set(doc) - set(cls._FIELDS)
+        specs = {f.name: f for f in fields(cls)}
+        unknown = set(doc) - set(specs)
         if unknown:
             raise ValueError(f"unknown grid fields: {sorted(unknown)}")
         if "kind" not in doc:
             raise ValueError("grid file needs a 'kind' field")
+        for key, value in doc.items():
+            default = specs[key].default
+            if key in ("p_list", "n_list"):
+                want = "a list of integers"
+                ok = (isinstance(value, (list, tuple))
+                      and all(map(_is_int, value)))
+            elif default is None or type(default) is int:
+                want = "an integer or null" if default is None else "an integer"
+                ok = _is_int(value) or (value is None and default is None)
+            else:
+                continue
+            if not ok:
+                raise ValueError(f"grid field {key!r} must be {want}, "
+                                 f"got {value!r}")
         kw = dict(doc)
         for key in ("p_list", "n_list"):
             if key in kw:
-                kw[key] = tuple(int(x) for x in kw[key])
+                kw[key] = tuple(kw[key])
         spec = cls(**kw)
         if spec.kind not in ("e", "wlp", "tsd", "fthreshold_convergence"):
             raise ValueError(f"unknown grid kind: {spec.kind!r}")
@@ -71,14 +89,8 @@ class GridSpec:
         return spec
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "p_list": sorted(self.p_list),
-                "n_list": sorted(self.n_list), "sum_max": self.sum_max,
-                "d_max": self.d_max, "d_max_n4": self.d_max_n4,
-                "d_max_n5": self.d_max_n5, "K_max": self.K_max,
-                "a_max": self.a_max, "p": self.p, "a": self.a, "n": self.n,
-                "e_max": self.e_max, "paths": self.paths,
-                "matrix_cap": self.matrix_cap,
-                "symmetry_sum_max": self.symmetry_sum_max}
+        return {**asdict(self), "p_list": sorted(self.p_list),
+                "n_list": sorted(self.n_list)}
 
 
 def _tuples_simplex(m: int, sum_max: int):
@@ -131,14 +143,18 @@ def _point_key(rec: dict) -> tuple:
     return (rec["p"], tuple(rec["d"] if "d" in rec else rec["K"]), rec.get("a"))
 
 
-def _totals(enumerated: int, skipped: int, discrepancies: list[dict]) -> dict:
-    """Totals block of a grid report.  A point agrees when it was checked and
-    has no discrepancy record, however many records a failing point has."""
-    checked = enumerated - skipped
+def _report(spec: GridSpec, enumerated: int, buckets: dict,
+            discrepancies: list[dict], **extra) -> dict:
+    """A grid report.  A point agrees when it was checked and has no
+    discrepancy record, however many records a failing point has."""
+    checked = enumerated - buckets["skipped"]
     failing = len({_point_key(rec) for rec in discrepancies})
-    return {"enumerated": enumerated, "checked": checked,
-            "agreements": checked - failing, "skipped": skipped,
-            "discrepancies": len(discrepancies)}
+    return {"spec": spec.to_dict(),
+            "totals": {"enumerated": enumerated, "checked": checked,
+                       "agreements": checked - failing,
+                       "skipped": buckets["skipped"],
+                       "discrepancies": len(discrepancies)},
+            "buckets": buckets, "discrepancies": discrepancies, **extra}
 
 
 def verify_e_grid(spec: GridSpec) -> dict:
@@ -164,92 +180,69 @@ def verify_e_grid(spec: GridSpec) -> dict:
             return sum(d) <= spec.sum_max
         return max(d) <= spec.d_max
 
-    def check_point(args):
-        p, n, d = args
-        out = {"bucket": None, "checks": dict.fromkeys(checks, 0), "disc": []}
-        if not _box_feasible(d[:-1], spec.matrix_cap):
-            out["bucket"] = "skipped"
-            return out
-        oracle_value = cache.value(p, d)
-        # formula-vs-oracle on whichever closed form claims the point
-        if n == 2:
-            try:
-                han = ep_han(p, *d)
-                out["bucket"] = "han"
-                out["checks"]["formula_vs_oracle"] += 1
-                if han != oracle_value:
-                    out["disc"].append({"check": "formula_vs_oracle", "p": p,
-                                        "d": list(d), "formula": han,
-                                        "method": "han", "oracle": oracle_value})
-            except NotApplicableError:
-                out["bucket"] = "oracle_only"
-        else:
-            try:
-                res = ep_main(p, d)
-                out["bucket"] = res.method
-                out["checks"]["formula_vs_oracle"] += 1
-                if res.value != oracle_value:
-                    out["disc"].append({"check": "formula_vs_oracle", "p": p,
-                                        "d": list(d), "formula": res.value,
-                                        "method": res.method,
-                                        "oracle": oracle_value})
-            except NotApplicableError:
-                out["bucket"] = "oracle_only"
-        # ceiling by the characteristic-zero value
-        if condition_char0(d):
-            out["checks"]["char0_ceiling"] += 1
-            e0 = (sum(d) - n + 2) // 2
-            if oracle_value > e0:
-                out["disc"].append({"check": "char0_ceiling", "p": p,
-                                    "d": list(d), "oracle": oracle_value,
-                                    "bound": e0})
-        # upper bounds from every base-q split of the tuple
-        q = 1
-        while q <= min(d):
-            k = [di // q for di in d]
-            r = [di % q for di in d]
-            out["checks"]["power_split_bound"] += 1
-            for eps in product((0, 1), repeat=n + 1):
-                kk = tuple(ki + ei for ki, ei in zip(k, eps))
-                bound = q * cache.value(p, kk) + sum(
-                    ri for ri, ei in zip(r, eps) if ei == 0)
-                if oracle_value > bound:
-                    out["disc"].append({"check": "power_split_bound", "p": p,
-                                        "d": list(d), "q": q,
-                                        "eps": list(eps),
-                                        "oracle": oracle_value,
-                                        "bound": bound})
-            q *= p
-        # coordinatewise monotonicity with unit steps
-        for i in range(n + 1):
-            bumped = tuple(di + 1 if j == i else di for j, di in enumerate(d))
-            if in_grid(bumped):
-                out["checks"]["monotonicity"] += 1
-                v2 = cache.value(p, bumped)
-                if not oracle_value <= v2 <= oracle_value + 1:
-                    out["disc"].append({"check": "monotonicity", "p": p,
-                                        "d": list(d), "coordinate": i,
-                                        "value": oracle_value,
-                                        "bumped": v2})
-        return out
-
     for p in sorted(spec.p_list):
         for n in sorted(spec.n_list):
-            points = []
             for d in enum_tuples(n + 1):
-                if spec.paths == "main":
-                    if n < 3 or not applicability(p, d).main_applicable:
-                        continue
-                if spec.paths == "han":
-                    if n != 2 or 2 * max(d) > sum(d):
-                        continue
-                points.append((p, n, d))
-            enumerated += len(points)
-            for out in map(check_point, points):
-                buckets[out["bucket"]] += 1
-                for key, cnt in out["checks"].items():
-                    checks[key] += cnt
-                discrepancies.extend(out["disc"])
+                if spec.paths == "main" and (
+                        n < 3 or not applicability(p, d).main_applicable):
+                    continue
+                if spec.paths == "han" and (n != 2 or 2 * max(d) > sum(d)):
+                    continue
+                enumerated += 1
+                if not _box_feasible(d[:-1], spec.matrix_cap):
+                    buckets["skipped"] += 1
+                    continue
+                oracle_value = cache.value(p, d)
+                # formula-vs-oracle on whichever closed form claims the point
+                try:
+                    res = ep_formula(p, d)
+                except NotApplicableError:
+                    buckets["oracle_only"] += 1
+                else:
+                    buckets[res.method] += 1
+                    checks["formula_vs_oracle"] += 1
+                    if res.value != oracle_value:
+                        discrepancies.append({
+                            "check": "formula_vs_oracle", "p": p, "d": list(d),
+                            "formula": res.value, "method": res.method,
+                            "oracle": oracle_value})
+                # ceiling by the characteristic-zero value
+                if condition_char0(d):
+                    checks["char0_ceiling"] += 1
+                    e0 = (sum(d) - n + 2) // 2
+                    if oracle_value > e0:
+                        discrepancies.append({"check": "char0_ceiling", "p": p,
+                                              "d": list(d),
+                                              "oracle": oracle_value,
+                                              "bound": e0})
+                # upper bounds from every base-q split of the tuple
+                q = 1
+                while q <= min(d):
+                    k = [di // q for di in d]
+                    r = [di % q for di in d]
+                    checks["power_split_bound"] += 1
+                    for eps in product((0, 1), repeat=n + 1):
+                        kk = tuple(ki + ei for ki, ei in zip(k, eps))
+                        bound = q * cache.value(p, kk) + sum(
+                            ri for ri, ei in zip(r, eps) if ei == 0)
+                        if oracle_value > bound:
+                            discrepancies.append({
+                                "check": "power_split_bound", "p": p,
+                                "d": list(d), "q": q, "eps": list(eps),
+                                "oracle": oracle_value, "bound": bound})
+                    q *= p
+                # coordinatewise monotonicity with unit steps
+                for i in range(n + 1):
+                    bumped = tuple(di + 1 if j == i else di
+                                   for j, di in enumerate(d))
+                    if in_grid(bumped):
+                        checks["monotonicity"] += 1
+                        v2 = cache.value(p, bumped)
+                        if not oracle_value <= v2 <= oracle_value + 1:
+                            discrepancies.append({
+                                "check": "monotonicity", "p": p, "d": list(d),
+                                "coordinate": i, "value": oracle_value,
+                                "bumped": v2})
             # permutation symmetry: raw oracle on every distinct rearrangement
             if n in (2, 3):
                 limit = spec.symmetry_sum_max
@@ -268,13 +261,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                             "values": {",".join(map(str, k)): v
                                        for k, v in sorted(values.items())}})
 
-    return {
-        "spec": spec.to_dict(),
-        "totals": _totals(enumerated, buckets["skipped"], discrepancies),
-        "buckets": buckets,
-        "checks": checks,
-        "discrepancies": discrepancies,
-    }
+    return _report(spec, enumerated, buckets, discrepancies, checks=checks)
 
 
 def _profile_verdict(p: int, d, cache: _OracleCache) -> bool:
@@ -303,120 +290,66 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
         for n in sorted(spec.n_list):
             if spec.sum_max is None:
                 continue
-            points = [d for d in _multisets_simplex(n + 1, spec.sum_max)
-                      if condition_char0(d)]
-            enumerated += len(points)
-
-            def check_obs(d, p=p, n=n):
+            for d in _multisets_simplex(n + 1, spec.sum_max):
+                if not condition_char0(d):
+                    continue
+                enumerated += 1
                 if not _box_feasible(d, spec.matrix_cap):
-                    return {"skip": True, "d": d, "disc": []}
-                profile = wlp_rank_profile(p, d).verdict
-                by_degree = cache.value(p, d) == (sum(d) - n + 2) // 2
-                disc = []
-                if profile != by_degree:
-                    disc.append({"check": "wlp_equivalence", "p": p,
-                                 "d": list(d), "profile": profile,
-                                 "by_relation_degree": by_degree})
-                return {"skip": False, "d": d, "profile": profile,
-                        "disc": disc}
-
-            for out in map(check_obs, points):
-                if out["skip"]:
                     buckets["skipped"] += 1
                     continue
                 buckets["obs_equivalence"] += 1
-                discrepancies.extend(out["disc"])
-                if out["profile"]:
-                    q = applicability(p, out["d"]).q
-                    verdict_true.append((len(out["d"]) - 1, p, q,
-                                         tuple(out["d"])))
+                profile = wlp_rank_profile(p, d).verdict
+                by_degree = cache.value(p, d) == (sum(d) - n + 2) // 2
+                if profile != by_degree:
+                    discrepancies.append({"check": "wlp_equivalence", "p": p,
+                                          "d": list(d), "profile": profile,
+                                          "by_relation_degree": by_degree})
+                if profile:
+                    verdict_true.append((n, p, applicability(p, d).q, d))
 
-    # closed classification for four caps, uniform q = p
-    if spec.d_max is not None:
+    # closed classifications for four caps (cube bound d_max) and five caps
+    # (d_max_n4, where one sporadic multiset passes), uniform q = p
+    for n, classify, cube in ((3, wlp_classify_n3, spec.d_max),
+                              (4, wlp_classify_n4, spec.d_max_n4)):
+        if cube is None:
+            continue
         for p in sorted(spec.p_list):
-            hi = min(spec.d_max, p * p - 1)
-            points = list(combinations_with_replacement(range(p, hi + 1), 4))
-            enumerated += len(points)
-
-            def check_n3(d, p=p):
-                out = {"bucket": None, "disc": [], "true_point": None}
+            unexpected = []     # five-cap passes besides the sporadic one
+            for d in combinations_with_replacement(
+                    range(p, min(cube, p * p - 1) + 1), n + 1):
+                enumerated += 1
                 try:
-                    claimed = wlp_classify_n3(p, d)
+                    claimed = classify(p, d)
                 except NotApplicableError:
-                    out["bucket"] = "n3_out_of_scope"
-                    return out
-                out["bucket"] = "n3_classified"
+                    buckets[f"n{n}_out_of_scope"] += 1
+                    continue
+                buckets[f"n{n}_classified"] += 1
                 actual = _profile_verdict(p, d, cache)
                 if claimed != actual:
-                    out["disc"].append({"check": "wlp_classify_n3", "p": p,
-                                        "d": list(d), "classified": claimed,
-                                        "profile": actual})
+                    discrepancies.append({"check": f"wlp_classify_n{n}",
+                                          "p": p, "d": list(d),
+                                          "classified": claimed,
+                                          "profile": actual})
                 if actual:
-                    out["true_point"] = (3, p, applicability(p, d).q, tuple(d))
-                return out
-
-            for out in map(check_n3, points):
-                buckets[out["bucket"]] += 1
-                discrepancies.extend(out["disc"])
-                if out["true_point"]:
-                    verdict_true.append(out["true_point"])
-
-    # five caps: the lone sporadic multiset
-    for p in sorted(spec.p_list):
-        hi = min(spec.d_max_n4, p * p - 1)
-        points = list(combinations_with_replacement(range(p, hi + 1), 5))
-        enumerated += len(points)
-        passing = []
-
-        def check_n4(d, p=p):
-            out = {"bucket": None, "disc": [], "true_point": None}
-            try:
-                claimed = wlp_classify_n4(p, d)
-            except NotApplicableError:
-                out["bucket"] = "n4_out_of_scope"
-                return out
-            out["bucket"] = "n4_classified"
-            actual = _profile_verdict(p, d, cache)
-            if claimed != actual:
-                out["disc"].append({"check": "wlp_classify_n4", "p": p,
-                                    "d": list(d), "classified": claimed,
-                                    "profile": actual})
-            if actual:
-                out["true_point"] = (4, p, applicability(p, d).q, tuple(d))
-            return out
-
-        for out in map(check_n4, points):
-            buckets[out["bucket"]] += 1
-            discrepancies.extend(out["disc"])
-            if out["true_point"]:
-                verdict_true.append(out["true_point"])
-                passing.append(out["true_point"][3])
-        for d in passing:
-            if not (p == 3 and sorted(d) == [4, 4, 4, 4, 5]):
-                discrepancies.append({"check": "wlp_n4_unexpected_pass",
-                                      "p": p, "d": list(d)})
+                    verdict_true.append((n, p, applicability(p, d).q, d))
+                    if n == 4 and not (p == 3 and d == (4, 4, 4, 4, 5)):
+                        unexpected.append(d)
+            discrepancies.extend({"check": "wlp_n4_unexpected_pass", "p": p,
+                                  "d": list(d)} for d in unexpected)
 
     # six caps with q > 1 must all fail
     for p in sorted(spec.p_list):
-        hi = min(spec.d_max_n5, p * p - 1)
-        points = list(combinations_with_replacement(range(p, hi + 1), 6))
-        enumerated += len(points)
-
-        def check_n5(d, p=p):
-            out = {"bucket": None, "disc": []}
+        for d in combinations_with_replacement(
+                range(p, min(spec.d_max_n5, p * p - 1) + 1), 6):
+            enumerated += 1
             rep = applicability(p, d)
             if not rep.main_applicable or rep.q == 1:
-                out["bucket"] = "n5_out_of_scope"
-                return out
-            out["bucket"] = "n5_checked"
+                buckets["n5_out_of_scope"] += 1
+                continue
+            buckets["n5_checked"] += 1
             if _profile_verdict(p, d, cache):
-                out["disc"].append({"check": "wlp_n5_exclusion", "p": p,
-                                    "d": list(d), "profile": True})
-            return out
-
-        for out in map(check_n5, points):
-            buckets[out["bucket"]] += 1
-            discrepancies.extend(out["disc"])
+                discrepancies.append({"check": "wlp_n5_exclusion", "p": p,
+                                      "d": list(d), "profile": True})
 
     # no tuple with WLP may be excluded by the feasibility filter
     for n, p, q, d in verdict_true:
@@ -425,12 +358,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             discrepancies.append({"check": "feasibility_filter", "p": p,
                                   "q": q, "n": n, "d": list(d)})
 
-    return {
-        "spec": spec.to_dict(),
-        "totals": _totals(enumerated, buckets["skipped"], discrepancies),
-        "buckets": buckets,
-        "discrepancies": discrepancies,
-    }
+    return _report(spec, enumerated, buckets, discrepancies)
 
 
 def verify_tsd_grid(spec: GridSpec) -> dict:
@@ -446,38 +374,24 @@ def verify_tsd_grid(spec: GridSpec) -> dict:
             for a in range(1, spec.a_max + 1):
                 if a % p == 0:
                     continue
-                points = list(combinations_with_replacement(
-                    range(1, spec.K_max + 1), n + 1))
-                enumerated += len(points)
-
-                def check(K, p=p, a=a):
+                for K in combinations_with_replacement(
+                        range(1, spec.K_max + 1), n + 1):
+                    enumerated += 1
                     if not _box_feasible(K, spec.matrix_cap):
-                        return {"skip": True, "disc": []}
+                        buckets["skipped"] += 1
+                        continue
+                    buckets["checked"] += 1
                     f = tsd_formula(p, K, a, e_provider=oracle_provider)
                     o = socle_degree_oracle(p, K, a)
-                    disc = []
                     if f != o:
-                        disc.append({"check": "tsd_formula_vs_oracle", "p": p,
-                                     "K": list(K), "a": a, "formula": f,
-                                     "oracle": o})
-                    return {"skip": False, "disc": disc}
-
-                for out in map(check, points):
-                    if out["skip"]:
-                        buckets["skipped"] += 1
-                    else:
-                        buckets["checked"] += 1
-                    discrepancies.extend(out["disc"])
-    return {
-        "spec": spec.to_dict(),
-        "totals": _totals(enumerated, buckets["skipped"], discrepancies),
-        "buckets": buckets,
-        "discrepancies": discrepancies,
-    }
+                        discrepancies.append({
+                            "check": "tsd_formula_vs_oracle", "p": p,
+                            "K": list(K), "a": a, "formula": f, "oracle": o})
+    return _report(spec, enumerated, buckets, discrepancies)
 
 
 def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
-                           matrix_cap: int = 5000) -> dict:
+                           matrix_cap: int = MATRIX_CAP) -> dict:
     """Socle-degree sequence against the closed-form threshold.
 
     Reports one row per feasible q = p^e with q = 1 mod a (the subsequence on

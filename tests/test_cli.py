@@ -1,19 +1,26 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nonkoszul
 from nonkoszul.monomials import slice_array
 from nonkoszul.oracle import mult_map
 from nonkoszul.verify import canonical_json
 
 CMD = [sys.executable, "-m", "nonkoszul.cli"]
+# the child interpreter imports the same package the tests import
+SRC = os.path.dirname(os.path.dirname(nonkoszul.__file__))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args, expect=0):
-    proc = subprocess.run(CMD + list(args), capture_output=True, text=True)
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          env=ENV)
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc
 
@@ -157,10 +164,19 @@ def test_verify_bad_grid_exits_1(tmp_path):
     run_cli("verify", "--grid", str(grid), expect=1)
     grid.write_text(json.dumps({"kind": "e", "p_list": [2], "n_list": [2],
                                 "d_max": 3, "mystery": 1}))
-    proc = subprocess.run(CMD + ["verify", "--grid", str(grid)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1
+    proc = run_cli("verify", "--grid", str(grid), expect=1)
     assert "mystery" in proc.stderr
+    # wrongly typed fields are refused with a message, not a traceback
+    for field, value in (("sum_max", "12"), ("d_max_n4", None),
+                         ("d_max", 4.0), ("matrix_cap", True), ("p_list", 2),
+                         ("n_list", [3, "3"])):
+        doc = {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
+               "d_max": 4}
+        doc[field] = value
+        grid.write_text(json.dumps(doc))
+        proc = run_cli("verify", "--grid", str(grid), expect=1)
+        assert proc.stderr.startswith("error: ") and field in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_table_csv():

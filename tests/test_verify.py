@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,14 @@ def test_e_grid_paths_filter():
     assert han_only["totals"]["discrepancies"] == 0
 
 
+def test_e_grid_two_degrees_is_oracle_only():
+    # no closed form covers n = 1, so every point is an oracle-only check
+    report = run_grid({"kind": "e", "p_list": [2], "n_list": [1], "d_max": 3})
+    assert report["totals"]["checked"] == 9
+    assert report["totals"]["discrepancies"] == 0
+    assert report["buckets"]["oracle_only"] == 9
+
+
 def test_wlp_grid_small_clean():
     report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [3],
                        "sum_max": 10, "d_max": 6, "d_max_n4": 5,
@@ -91,6 +100,10 @@ def test_wlp_grid_small_clean():
     assert report["buckets"]["obs_equivalence"] > 0
     assert report["buckets"]["n3_classified"] > 0
     assert report["buckets"]["filter_checked"] > 0
+
+
+def _sha256(report) -> str:
+    return hashlib.sha256(canonical_json(report).encode()).hexdigest()
 
 
 def test_agreements_count_failing_points_once(monkeypatch):
@@ -104,6 +117,23 @@ def test_agreements_count_failing_points_once(monkeypatch):
     failing = {(rec["p"], tuple(rec["d"])) for rec in report["discrepancies"]}
     assert totals["discrepancies"] > len(failing)
     assert totals["agreements"] == totals["checked"] - len(failing) >= 0
+    # the bytes pin the order of the 88 discrepancy records
+    assert totals["discrepancies"] == 88
+    assert _sha256(report) == \
+        "169e24e9f4d25a1512e6fda73a7d375d2d75a1386f1d0a798c7d4886e7826927"
+
+
+def test_report_bytes_are_pinned():
+    # the e, wlp and tsd grids of the default suite, byte for byte
+    pinned = [
+        "566a51fd501b583b212f3c00d6cc82b6e7428a4259b19479e38fa1074eaa5235",
+        "a9391a26321f6ff5eefbb309206ee6d200366b9774928f266f5313d764be476a",
+        "973871dd190a788676171fa1f641695a357b7f825f3b7697bff3a79968bf46e6",
+        "ef3e4c29dd4bf4992f638d65a45390e33e01e75b765354a506c2e32b51d57700",
+    ]
+    docs = [doc for doc in default_suite()
+            if doc["kind"] in ("e", "wlp", "tsd")]
+    assert [_sha256(run_grid(doc)) for doc in docs] == pinned
 
 
 def test_tsd_grid_small_clean():
