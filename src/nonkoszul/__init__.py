@@ -10,8 +10,8 @@ from .formulas import (ApplicabilityReport, FThresholdResult,
                        tsd_formula, wlp_classify_n3, wlp_classify_n4,
                        wlp_criterion, wlp_feasibility_filter)
 from .linalg import MatrixFp, kernel_witness, matrix_from_rows, rank
-from .modp import (QSplit, binomial_mod, check_prime, is_prime,
-                   largest_power_leq, multinomial_mod, q_split)
+from .modp import (binomial_mod, check_prime, is_prime, largest_power_leq,
+                   multinomial_mod)
 from .monomials import hilbert_function, slice_array, top_degree
 from .oracle import (EResult, IndependenceError, KernelWitness,
                      WlpRecord, WlpReport, e_degree_oracle, mult_map,
@@ -25,13 +25,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ApplicabilityReport", "EResult", "FThresholdResult", "GridSpec",
     "IndependenceError", "KernelWitness", "MatrixFp", "NotApplicableError",
-    "QSplit", "WlpRecord", "WlpReport", "applicability", "binomial_mod",
+    "WlpRecord", "WlpReport", "applicability", "binomial_mod",
     "canonical_json", "check_prime", "condition_char0", "default_suite",
     "e0_formula", "e_degree_oracle", "ep_base", "ep_dispatch", "ep_formula",
     "ep_han", "ep_main", "frac_str", "fthreshold_convergence",
     "fthreshold_formula", "hilbert_function", "is_prime", "kernel_witness",
     "largest_power_leq", "matrix_from_rows", "min_function", "mult_map",
-    "multinomial_mod", "nu_value", "q_split", "rank", "run_grid", "run_suite",
+    "multinomial_mod", "nu_value", "rank", "run_grid", "run_suite",
     "slice_array", "socle_degree_oracle", "top_degree", "tsd_formula",
     "verify_e_grid", "verify_tsd_grid", "verify_wlp_grid", "wlp_classify_n3",
     "wlp_classify_n4", "wlp_criterion", "wlp_feasibility_filter",

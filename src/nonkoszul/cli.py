@@ -14,8 +14,8 @@ import sys
 from .formulas import (NotApplicableError, ep_dispatch, ep_formula,
                        fthreshold_formula, tsd_formula)
 from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
-from .verify import (MATRIX_CAP, _multisets_simplex, canonical_json,
-                     discrepancies_csv, fthreshold_convergence, run_grid)
+from .verify import (MATRIX_CAP, _simplex, canonical_json, discrepancies_csv,
+                     fthreshold_convergence, run_grid)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,35 +46,33 @@ def _build_parser() -> _Parser:
                                  "weak Lefschetz verdicts.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "plain"), default="json")
 
-    pe = sub.add_parser("e",
+    pe = sub.add_parser("e", parents=[fmt, output],
                         help="relation degree for one tuple")
     pe.add_argument("--p", type=int, required=True)
     pe.add_argument("--d", type=_int_list, required=True,
                     metavar="d1,d2,...", help="degree tuple")
     pe.add_argument("--method", choices=("auto", "formula", "oracle"),
                     default="auto")
-    pe.add_argument("--format", choices=("json", "plain"), default="json")
-    pe.add_argument("--output", "-o")
 
-    pw = sub.add_parser("wlp",
+    pw = sub.add_parser("wlp", parents=[fmt, output],
                         help="weak Lefschetz rank profile")
     pw.add_argument("--p", type=int, required=True)
     pw.add_argument("--d", type=_int_list, required=True, metavar="d1,d2,...")
-    pw.add_argument("--format", choices=("json", "plain"), default="json")
-    pw.add_argument("--output", "-o")
 
-    pt = sub.add_parser("tsd",
+    pt = sub.add_parser("tsd", parents=[fmt, output],
                         help="top socle degree under a diagonal form")
     pt.add_argument("--p", type=int, required=True)
     pt.add_argument("--K", type=_int_list, required=True, metavar="K1,K2,...")
     pt.add_argument("--a", type=int, required=True)
     pt.add_argument("--check", action="store_true",
                     help="also run the rank oracle and compare")
-    pt.add_argument("--format", choices=("json", "plain"), default="json")
-    pt.add_argument("--output", "-o")
 
-    pf = sub.add_parser("fthreshold",
+    pf = sub.add_parser("fthreshold", parents=[fmt, output],
                         help="diagonal F-threshold, exact rationals")
     pf.add_argument("--p", type=int, required=True)
     pf.add_argument("--a", type=int, required=True)
@@ -82,23 +80,18 @@ def _build_parser() -> _Parser:
     pf.add_argument("--converge", type=int, metavar="E_MAX",
                     help="attach the socle-degree convergence table up to p^E_MAX")
     pf.add_argument("--matrix-cap", type=int, default=MATRIX_CAP)
-    pf.add_argument("--format", choices=("json", "plain"), default="json")
-    pf.add_argument("--output", "-o")
 
-    pv = sub.add_parser("verify",
+    pv = sub.add_parser("verify", parents=[fmt, output],
                         help="run a verification grid from a JSON file")
     pv.add_argument("--grid", required=True, help="grid spec JSON path")
     pv.add_argument("--csv", help="also write discrepancies as CSV here")
-    pv.add_argument("--format", choices=("json", "plain"), default="json")
-    pv.add_argument("--output", "-o")
 
-    pb = sub.add_parser("table",
+    pb = sub.add_parser("table", parents=[output],
                         help="relation degrees over a degree simplex")
     pb.add_argument("--p", type=int, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--sum-max", type=int, required=True)
     pb.add_argument("--format", choices=("csv", "json"), default="csv")
-    pb.add_argument("--output", "-o")
 
     return parser
 
@@ -129,26 +122,21 @@ def _format_e_plain(doc: dict) -> str:
 
 
 def _cmd_e(args) -> tuple[str, int]:
-    d = args.d
+    route = {"oracle": e_degree_oracle, "formula": ep_formula,
+             "auto": ep_dispatch}[args.method]
+    doc = {"p": args.p, "d": list(args.d)}
     try:
-        if args.method == "oracle":
-            res = e_degree_oracle(args.p, d)
-        elif args.method == "formula":
-            res = ep_formula(args.p, d)
-        else:
-            res = ep_dispatch(args.p, d)
+        res = route(args.p, args.d)
     except NotApplicableError as exc:
-        doc = {"status": "not_applicable", "p": args.p, "d": list(d),
-               "failing": list(exc.failing),
-               "min_function_value": exc.min_value}
-        if args.format == "plain":
-            return _format_e_plain(doc), 2
-        return canonical_json(doc), 2
-    doc = {"p": args.p, "d": list(d)}
-    doc.update(res.to_dict())
+        doc.update(status="not_applicable", failing=list(exc.failing),
+                   min_function_value=exc.min_value)
+        code = 2
+    else:
+        doc.update(res.to_dict())
+        code = 0
     if args.format == "plain":
-        return _format_e_plain(doc), 0
-    return canonical_json(doc), 0
+        return _format_e_plain(doc), code
+    return canonical_json(doc), code
 
 
 def _cmd_wlp(args) -> tuple[str, int]:
@@ -221,7 +209,7 @@ def _cmd_table(args) -> tuple[str, int]:
     if args.sum_max < args.n + 1:
         raise ValueError("sum bound below the smallest tuple")
     rows = []
-    for d in _multisets_simplex(args.n + 1, args.sum_max):
+    for d in _simplex(args.n + 1, args.sum_max, nondecreasing=True):
         res = ep_dispatch(args.p, d, want_witness=False)
         rows.append((d, res.value, res.method))
     if args.format == "json":

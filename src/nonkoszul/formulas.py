@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .modp import check_prime, largest_power_leq, q_split
+from .modp import check_prime, largest_power_leq
+from .monomials import check_box
 from .oracle import EResult, e_degree_oracle
 
 
@@ -20,26 +21,22 @@ class NotApplicableError(Exception):
     """A closed formula declined the input; carries the failing flags and,
     when the base-formula range still holds, the minimum-function value."""
 
-    def __init__(self, failing, min_value=None, report=None):
+    def __init__(self, failing, min_value=None):
         self.failing = tuple(failing)
         self.min_value = min_value
-        self.report = report
         super().__init__("formula not applicable: " + ", ".join(self.failing))
 
 
-def _check_degrees(d) -> tuple[int, ...]:
-    d = tuple(int(x) for x in d)
-    if not d:
-        raise ValueError("empty degree tuple")
-    if any(x < 1 for x in d):
-        raise ValueError(f"degrees must be positive, got {d}")
-    return d
+def _char0_value(d: tuple[int, ...]) -> int:
+    """ceil((sum d - n + 1)/2) for the n + 1 degrees d."""
+    n = len(d) - 1
+    return (sum(d) - n + 2) // 2
 
 
 def condition_char0(d) -> bool:
     """The characteristic-zero hypothesis: no d_i exceeds the sum of the
     co-degrees, d_i <= sum_{j != i} (d_j - 1)."""
-    d = _check_degrees(d)
+    d = check_box(d)
     n = len(d) - 1
     total = sum(d)
     return all(2 * di <= total - n for di in d)
@@ -47,22 +44,20 @@ def condition_char0(d) -> bool:
 
 def e0_formula(d) -> int:
     """Relation degree in characteristic zero, ceil((sum d - n + 1)/2)."""
-    d = _check_degrees(d)
+    d = check_box(d)
     if not condition_char0(d):
         raise NotApplicableError(("char0_condition",))
-    n = len(d) - 1
-    return (sum(d) - n + 2) // 2
+    return _char0_value(d)
 
 
 def ep_base(p: int, kappa) -> int:
     """Base-case value for tuples with every entry in [1, p]:
     max over the entries and min(ceil((sum - n + 1)/2), p)."""
     check_prime(p)
-    kappa = _check_degrees(kappa)
+    kappa = check_box(kappa)
     if any(x > p for x in kappa):
         raise ValueError(f"base formula needs entries <= p = {p}, got {kappa}")
-    n = len(kappa) - 1
-    return max(max(kappa), min((sum(kappa) - n + 2) // 2, p))
+    return max(max(kappa), min(_char0_value(kappa), p))
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,7 @@ class ApplicabilityReport:
 
     @property
     def main_applicable(self) -> bool:
-        return (self.same_q_for_all and self.main_thm_k_range
-                and self.main_thm_condition5)
+        return not self.failing_main_flags()
 
     def failing_main_flags(self) -> tuple[str, ...]:
         out = []
@@ -99,12 +93,10 @@ class ApplicabilityReport:
 
 def applicability(p: int, d) -> ApplicabilityReport:
     check_prime(p)
-    d = _check_degrees(d)
+    d = check_box(d)
     n = len(d) - 1
     q, e = largest_power_leq(p, min(d))
-    splits = [q_split(di, q) for di in d]
-    k = tuple(s.k for s in splits)
-    r = tuple(s.r for s in splits)
+    k, r = zip(*(divmod(di, q) for di in d))
     same_q = all(largest_power_leq(p, di)[0] == q for di in d)
     k_range = all(1 <= ki <= p - 1 for ki in k)
     bound = (sum(k) - n + 1) // 2
@@ -146,7 +138,7 @@ def _degenerate(d: tuple[int, ...]) -> bool:
 def ep_main(p: int, d) -> EResult:
     """Main closed form for n >= 3: the q-split minimum, when the tuple has a
     uniform largest prime power, k in [1, p-1], and the balance condition."""
-    d = _check_degrees(d)
+    d = check_box(d)
     if len(d) < 4:
         raise ValueError("main formula needs at least four degrees")
     rep = applicability(p, d)
@@ -155,16 +147,15 @@ def ep_main(p: int, d) -> EResult:
         min_value = None
         if rep.main_thm_k_range:
             min_value = min_function(p, rep.q, rep.k, rep.r)
-        raise NotApplicableError(failing, min_value=min_value, report=rep)
+        raise NotApplicableError(failing, min_value=min_value)
     value = min_function(p, rep.q, rep.k, rep.r)
     if rep.q > 1:
         method = "main"
     else:
         # q = 1 collapses the split, so the value is the base formula's; call
         # it char0 when the char-0 theorem provably gives the same number
-        n = len(d) - 1
-        e0 = (sum(d) - n + 2) // 2
-        method = "char0" if rep.char0_condition and p >= e0 else "base"
+        method = ("char0" if rep.char0_condition and p >= _char0_value(d)
+                  else "base")
     return EResult(value=value, method=method, degenerate=_degenerate(d),
                    witness=None)
 
@@ -181,7 +172,7 @@ def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
     the quotient), which q <= min(d) would miss.  Powers beyond sum(d)
     cannot win, so the scan stops there."""
     check_prime(p)
-    d = _check_degrees((d1, d2, d3))
+    d = check_box((d1, d2, d3))
     if 2 * max(d) > sum(d):
         raise NotApplicableError(("triangle_inequality",))
     best = None
@@ -215,22 +206,18 @@ def ep_formula(p: int, d) -> EResult:
 def ep_dispatch(p: int, d, want_witness: bool = True) -> EResult:
     """Route to the cheapest valid method: the closed form of `ep_formula`
     where it applies, the rank oracle otherwise."""
-    d = _check_degrees(d)
+    d = check_box(d)
     try:
         return ep_formula(p, d)
     except NotApplicableError:
         return e_degree_oracle(p, d, want_witness=want_witness)
 
 
-def _e_value(result) -> int:
-    return result.value if isinstance(result, EResult) else int(result)
-
-
 def tsd_formula(p: int, K, a: int, e_provider=None) -> int:
     """Top socle degree of the box on caps K cut by the degree-a diagonal
     form, maximized over the valid rounding choices of K_i = a*d_i + e_i."""
     check_prime(p)
-    K = _check_degrees(K)
+    K = check_box(K)
     a = int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")
@@ -250,7 +237,7 @@ def tsd_formula(p: int, K, a: int, e_provider=None) -> int:
     best = None
     for eps in product(*choices):
         dd = tuple(di + ei for di, ei in zip(d, eps))
-        E = _e_value(e_provider(dd))
+        E = e_provider(dd).value
         g = sum(a - 1 if ei == 0 else e[i] - 1 for i, ei in enumerate(eps))
         value = a * (sum(dd) - m - E + 1) + g
         if best is None or value > best:
@@ -322,27 +309,24 @@ def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
                             terms=terms, M=M, c=c)
 
 
-def wlp_criterion(p: int, d, e_provider=None) -> bool:
+def wlp_criterion(p: int, d) -> bool:
     """Weak Lefschetz verdict from the relation degree: the box quotient on d
     has WLP iff the relation degree reaches the characteristic-zero value."""
     check_prime(p)
-    d = _check_degrees(d)
-    if e_provider is None:
-        e_provider = lambda t: ep_dispatch(p, t, want_witness=False)
-    n = len(d) - 1
-    return _e_value(e_provider(d)) >= (sum(d) - n + 2) // 2
+    d = check_box(d)
+    return ep_dispatch(p, d, want_witness=False).value >= _char0_value(d)
 
 
 def _scope_report(p: int, d, size: int) -> ApplicabilityReport:
-    d = _check_degrees(d)
+    d = check_box(d)
     if len(d) != size:
         raise ValueError(f"expected {size} degrees, got {len(d)}")
     rep = applicability(p, d)
     failing = rep.failing_main_flags()
     if failing:
-        raise NotApplicableError(failing, report=rep)
+        raise NotApplicableError(failing)
     if rep.q == 1:
-        raise NotApplicableError(("prime_power_q",), report=rep)
+        raise NotApplicableError(("prime_power_q",))
     return rep
 
 
@@ -377,18 +361,5 @@ def wlp_feasibility_filter(n: int, p: int, q: int) -> bool:
         raise ValueError("need n >= 1")
     if q < 1:
         raise ValueError("need q >= 1")
-    if q == 1:
-        return True
-    if n >= 9 and q > 2:
-        return False
-    if n in (7, 8) and q > 3:
-        return False
-    if n in (5, 6) and q > 4:
-        return False
-    if p == 2 and not (n <= 3 or (n == 4 and q == 2)):
-        return False
-    if p == 3 and q == 3 and n > 4:
-        return False
-    if n >= 5 and q > 1:
-        return False
-    return True
+    # q > 1 excludes every n >= 5, and n = 4 over F_2 unless q = 2
+    return q == 1 or n <= 3 or (n == 4 and (p != 2 or q == 2))

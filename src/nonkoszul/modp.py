@@ -1,8 +1,7 @@
-"""Exact arithmetic mod a prime: digit-wise binomials, multinomials, base-q splits."""
+"""Exact arithmetic mod a prime: digit-wise binomials, multinomials, prime powers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -82,26 +81,6 @@ def multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
             return 0
         remaining -= part
     return result
-
-
-@dataclass(frozen=True)
-class QSplit:
-    """d = k*q + r with 0 <= r < q."""
-
-    d: int
-    q: int
-    k: int
-    r: int
-
-
-def q_split(d: int, q: int) -> QSplit:
-    """Split a positive exponent against a prime power q."""
-    if d <= 0:
-        raise ValueError(f"exponent {d} must be positive")
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    k, r = divmod(d, q)
-    return QSplit(d=d, q=q, k=k, r=r)
 
 
 def largest_power_leq(p: int, x: int) -> tuple[int, int]:

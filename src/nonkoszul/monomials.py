@@ -15,12 +15,12 @@ import numpy as np
 
 
 def check_box(caps: Sequence[int]) -> tuple[int, ...]:
-    """Validate exponent caps (all >= 1) and return them as a tuple."""
+    """Validate exponent caps or degrees (all >= 1) and return them as a tuple."""
     caps = tuple(int(c) for c in caps)
     if not caps:
-        raise ValueError("box needs at least one variable")
+        raise ValueError("need at least one exponent")
     if any(c < 1 for c in caps):
-        raise ValueError(f"box caps must be positive, got {caps}")
+        raise ValueError(f"exponents must be positive, got {caps}")
     return caps
 
 

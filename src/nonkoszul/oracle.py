@@ -135,11 +135,7 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     elimination on the decisive matrix.
     """
     check_prime(p)
-    d = tuple(int(x) for x in d)
-    if not d:
-        raise ValueError("need at least one degree")
-    if any(x < 1 for x in d):
-        raise ValueError(f"degrees must be positive, got {d}")
+    d = check_box(d)
     if len(d) == 1:
         # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from .formulas import (NotApplicableError, applicability, condition_char0,
-                       ep_formula, fthreshold_formula, frac_str, tsd_formula,
-                       wlp_classify_n3, wlp_classify_n4,
+                       e0_formula, ep_formula, fthreshold_formula, frac_str,
+                       tsd_formula, wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
 from .monomials import hilbert_function
 from .oracle import (e_degree_oracle, nu_value, socle_degree_oracle,
@@ -86,6 +86,9 @@ class GridSpec:
             raise ValueError(f"unknown grid kind: {spec.kind!r}")
         if spec.paths not in ("all", "main", "han"):
             raise ValueError(f"unknown paths filter: {spec.paths!r}")
+        if any(n < 0 for n in spec.n_list):
+            raise ValueError(f"grid field 'n_list' must hold no negative "
+                             f"entries, got {list(spec.n_list)}")
         return spec
 
     def to_dict(self) -> dict:
@@ -93,27 +96,16 @@ class GridSpec:
                 "n_list": sorted(self.n_list)}
 
 
-def _tuples_simplex(m: int, sum_max: int):
-    """All ordered positive tuples of length m with sum <= sum_max, lex order."""
-    def rec(prefix, left):
-        if len(prefix) == m - 1:
-            for x in range(1, left + 1):
-                yield tuple(prefix) + (x,)
-            return
-        for x in range(1, left - (m - len(prefix) - 1) + 1):
-            yield from rec(prefix + [x], left - x)
-    if sum_max >= m:
-        yield from rec([], sum_max)
-
-
-def _multisets_simplex(m: int, sum_max: int):
+def _simplex(m: int, sum_max: int, nondecreasing: bool = False):
+    """All positive tuples of length m >= 1 with sum <= sum_max, lex order;
+    with `nondecreasing`, only the sorted one of each multiset."""
     def rec(prefix, left, lo):
         if len(prefix) == m - 1:
             for x in range(lo, left + 1):
                 yield tuple(prefix) + (x,)
             return
         for x in range(lo, left - (m - len(prefix) - 1) + 1):
-            yield from rec(prefix + [x], left - x, x)
+            yield from rec(prefix + [x], left - x, x if nondecreasing else 1)
     if sum_max >= m:
         yield from rec([], sum_max, 1)
 
@@ -172,7 +164,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
 
     def enum_tuples(m):
         if spec.sum_max is not None:
-            return _tuples_simplex(m, spec.sum_max)
+            return _simplex(m, spec.sum_max)
         return product(range(1, spec.d_max + 1), repeat=m)
 
     def in_grid(d):
@@ -209,7 +201,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 # ceiling by the characteristic-zero value
                 if condition_char0(d):
                     checks["char0_ceiling"] += 1
-                    e0 = (sum(d) - n + 2) // 2
+                    e0 = e0_formula(d)
                     if oracle_value > e0:
                         discrepancies.append({"check": "char0_ceiling", "p": p,
                                               "d": list(d),
@@ -248,7 +240,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 limit = spec.symmetry_sum_max
                 if spec.sum_max is not None:
                     limit = min(limit, spec.sum_max)
-                for d in _multisets_simplex(n + 1, limit):
+                for d in _simplex(n + 1, limit, nondecreasing=True):
                     if spec.d_max is not None and max(d) > spec.d_max:
                         continue
                     checks["symmetry_classes"] += 1
@@ -268,8 +260,7 @@ def _profile_verdict(p: int, d, cache: _OracleCache) -> bool:
     """Rank-profile WLP verdict; under the characteristic-zero condition the
     relation-degree criterion is equivalent and much cheaper."""
     if condition_char0(d):
-        n = len(d) - 1
-        return cache.value(p, d) == (sum(d) - n + 2) // 2
+        return cache.value(p, d) == e0_formula(d)
     return wlp_rank_profile(p, d).verdict
 
 
@@ -290,7 +281,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
         for n in sorted(spec.n_list):
             if spec.sum_max is None:
                 continue
-            for d in _multisets_simplex(n + 1, spec.sum_max):
+            for d in _simplex(n + 1, spec.sum_max, nondecreasing=True):
                 if not condition_char0(d):
                     continue
                 enumerated += 1
@@ -299,7 +290,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                     continue
                 buckets["obs_equivalence"] += 1
                 profile = wlp_rank_profile(p, d).verdict
-                by_degree = cache.value(p, d) == (sum(d) - n + 2) // 2
+                by_degree = cache.value(p, d) == e0_formula(d)
                 if profile != by_degree:
                     discrepancies.append({"check": "wlp_equivalence", "p": p,
                                           "d": list(d), "profile": profile,

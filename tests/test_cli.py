@@ -169,7 +169,7 @@ def test_verify_bad_grid_exits_1(tmp_path):
     # wrongly typed fields are refused with a message, not a traceback
     for field, value in (("sum_max", "12"), ("d_max_n4", None),
                          ("d_max", 4.0), ("matrix_cap", True), ("p_list", 2),
-                         ("n_list", [3, "3"])):
+                         ("n_list", [3, "3"]), ("n_list", [-1])):
         doc = {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
                "d_max": 4}
         doc[field] = value

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,6 +11,7 @@ from nonkoszul.formulas import (
     e0_formula,
     ep_base,
     ep_dispatch,
+    ep_formula,
     ep_han,
     ep_main,
     frac_str,
@@ -21,6 +24,7 @@ from nonkoszul.formulas import (
     wlp_feasibility_filter,
 )
 from nonkoszul.oracle import e_degree_oracle, socle_degree_oracle
+from nonkoszul.verify import canonical_json
 
 
 def test_condition_char0():
@@ -268,9 +272,60 @@ FILTER_CASES = [
     (7, 3, 3, False),
     (7, 5, 5, False),
     (2, 2, 16, True),
+    (4, 3, 9, True),
+    (4, 5, 25, True),
+    (6, 7, 7, False),
 ]
 
 
 @pytest.mark.parametrize("n,p,q,allowed", FILTER_CASES)
 def test_feasibility_filter(n, p, q, allowed):
     assert wlp_feasibility_filter(n, p, q) is allowed
+
+
+def _outcome(fn, *args):
+    """A closed form's answer, or the flags and value it declined with."""
+    try:
+        out = fn(*args)
+    except NotApplicableError as exc:
+        return {"failing": list(exc.failing), "min_value": exc.min_value}
+    return out.to_dict() if hasattr(out, "to_dict") else out
+
+
+def test_closed_form_outputs_are_pinned():
+    # every closed form over a fixed grid, byte for byte
+    doc = {"ep": [], "tsd": [], "fthreshold": [], "classify": [],
+           "filter": [], "criterion": []}
+    for p in (2, 3, 5, 7):
+        for m in (3, 4, 5):
+            for d in combinations_with_replacement(range(1, 18 - m), m):
+                for t in sorted({d, d[::-1]}) if sum(d) <= 16 else ():
+                    doc["ep"].append([p, t, _outcome(ep_formula, p, t)])
+    for p in (2, 3, 5):
+        for a in range(1, 5):
+            for K in combinations_with_replacement(range(1, 7), 3):
+                doc["tsd"].append([p, K, a, tsd_formula(p, K, a)])
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(1, 13):
+            if a % p:
+                for n in range(1, 5):
+                    doc["fthreshold"].append(
+                        fthreshold_formula(p, a, n).to_dict())
+    for p in (2, 3, 5, 7):
+        for n, classify in ((3, wlp_classify_n3), (4, wlp_classify_n4)):
+            for d in combinations_with_replacement(
+                    range(p, min(8, p * p - 1) + 1), n + 1):
+                doc["classify"].append([p, d, _outcome(classify, p, d)])
+    for p in (2, 3, 5, 7):
+        for n in range(1, 12):
+            for q in sorted(set(range(1, 40)) | {p ** e for e in range(8)}):
+                doc["filter"].append([n, p, q,
+                                      wlp_feasibility_filter(n, p, q)])
+    for p in (2, 3, 5):
+        for m in (3, 4):
+            for d in combinations_with_replacement(range(1, 7), m):
+                if sum(d) <= 12:
+                    doc["criterion"].append([p, d, wlp_criterion(p, d)])
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == \
+        "8b068a20b9c15cf054e80dfeaa1ea7a6bbfd666a48ef890bb25e8795d9409957"

@@ -9,7 +9,6 @@ from nonkoszul.modp import (
     is_prime,
     largest_power_leq,
     multinomial_mod,
-    q_split,
 )
 
 
@@ -50,19 +49,6 @@ def test_multinomial_matches_factorial_formula(parts, p):
     for part in parts:
         direct //= math.factorial(part)
     assert multinomial_mod(sum(parts), parts, p) == direct % p
-
-
-@pytest.mark.parametrize("d,q,k,r", [
-    (6, 5, 1, 1),
-    (18, 5, 3, 3),
-    (7, 1, 7, 0),
-    (12, 4, 3, 0),
-])
-def test_q_split_examples(d, q, k, r):
-    s = q_split(d, q)
-    assert (s.k, s.r) == (k, r)
-    assert s.k * q + s.r == d
-    assert 0 <= s.r < q or q == 1 and s.r == 0
 
 
 @pytest.mark.parametrize("p,bound,q,e", [
