@@ -13,9 +13,9 @@ from .linalg import MatrixFp, kernel_witness, matrix_from_rows, rank
 from .modp import (binomial_mod, check_prime, is_prime, largest_power_leq,
                    multinomial_mod)
 from .monomials import hilbert_function, slice_array, top_degree
-from .oracle import (EResult, IndependenceError, KernelWitness,
-                     WlpRecord, WlpReport, e_degree_oracle, mult_map,
-                     nu_value, socle_degree_oracle, wlp_rank_profile)
+from .oracle import (EResult, KernelWitness, WlpRecord, WlpReport,
+                     e_degree_oracle, mult_map, nu_value, socle_degree_oracle,
+                     wlp_rank_profile)
 from .verify import (GridSpec, canonical_json, default_suite,
                      fthreshold_convergence, run_grid, run_suite,
                      verify_e_grid, verify_tsd_grid, verify_wlp_grid)
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApplicabilityReport", "EResult", "FThresholdResult", "GridSpec",
-    "IndependenceError", "KernelWitness", "MatrixFp", "NotApplicableError",
-    "WlpRecord", "WlpReport", "applicability", "binomial_mod",
+    "KernelWitness", "MatrixFp", "NotApplicableError", "WlpRecord",
+    "WlpReport", "applicability", "binomial_mod",
     "canonical_json", "check_prime", "condition_char0", "default_suite",
     "e0_formula", "e_degree_oracle", "ep_base", "ep_dispatch", "ep_formula",
     "ep_han", "ep_main", "frac_str", "fthreshold_convergence",

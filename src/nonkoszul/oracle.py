@@ -21,11 +21,6 @@ from .modp import check_prime, multinomial_mod
 from .monomials import check_box, hilbert_function, slice_array, top_degree
 
 
-class IndependenceError(RuntimeError):
-    """Raised if the ascending degree scan finds no kernel (should not happen
-    for valid inputs; kept as a guard against silent wrong answers)."""
-
-
 def _strides(caps: tuple[int, ...]) -> np.ndarray:
     m = len(caps)
     s = np.ones(m, dtype=np.int64)
@@ -130,37 +125,37 @@ class EResult:
 def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     """Least degree of a kernel element of x f^{d_last} on the box d[:-1].
 
-    Scans degrees upward from d_last with early exit.  The kernel test is a
-    rank computation; the witness (when requested) comes from one exact
-    elimination on the decisive matrix.
+    Let power = d_last, H the Hilbert function of the box (zero above its top
+    degree `top`) and U the least j >= power with H[j - power] > H[j]; then
+    U <= top + power, as H[top] = 1, and the map from degree U - power has a
+    kernel by dimension count.  Kernels persist upward: a nonzero g of degree
+    s < top with f^power g = 0 is not in the socle, which is spanned by the
+    single monomial x^{c-1} in degree top, so x_i g != 0 for some i, and
+    f^power x_i g = 0 in degree s + 1.  Hence the scan runs down from U - 1,
+    one rank per degree, while the map has a kernel; the answer is one above
+    the first injective degree, or d_last (source degree -1 is empty).  The
+    witness (when requested) comes from one exact elimination on the
+    decisive matrix.
     """
     check_prime(p)
     d = check_box(d)
     if len(d) == 1:
         # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
-    caps = d[:-1]
-    power = d[-1]
-    H = hilbert_function(caps)
+    caps, power = d[:-1], d[-1]
     top = top_degree(caps)
-    for j in range(power, top + power + 1):
-        src_dim = H[j - power]
-        tgt_dim = H[j] if j <= top else 0
-        mat = None
-        if tgt_dim >= src_dim:
-            mat = mult_map(caps, j - power, power, p)
-            if rank(mat) == src_dim:
-                continue
-        # more columns than rank: kernel exists at this degree
-        wit = None
-        if want_witness:
-            if mat is None:
-                mat = mult_map(caps, j - power, power, p)
-            vec = kernel_witness(mat)
-            wit = KernelWitness(box=caps, degree=j - power, coefficients=vec)
-        return EResult(value=j, method="oracle",
-                       degenerate=power > top, witness=wit)
-    raise IndependenceError(f"no relation found for p={p}, d={d}")
+    H = hilbert_function(caps) + [0] * power
+    value = next(j for j in range(power, top + power + 1)
+                 if H[j - power] > H[j])
+    while value > power and rank(
+            mult_map(caps, value - 1 - power, power, p)) < H[value - 1 - power]:
+        value -= 1
+    wit = None
+    if want_witness:
+        vec = kernel_witness(mult_map(caps, value - power, power, p))
+        wit = KernelWitness(box=caps, degree=value - power, coefficients=vec)
+    return EResult(value=value, method="oracle",
+                   degenerate=power > top, witness=wit)
 
 
 @dataclass(frozen=True)

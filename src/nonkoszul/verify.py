@@ -181,7 +181,8 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 if spec.paths == "han" and (n != 2 or 2 * max(d) > sum(d)):
                     continue
                 enumerated += 1
-                if not _box_feasible(d[:-1], spec.matrix_cap):
+                # n = 0 leaves an empty box: one monomial, always feasible
+                if n and not _box_feasible(d[:-1], spec.matrix_cap):
                     buckets["skipped"] += 1
                     continue
                 oracle_value = cache.value(p, d)

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from nonkoszul import oracle
 from nonkoszul.linalg import matrix_from_rows, rank
 from nonkoszul.monomials import hilbert_function, slice_array, top_degree
 from nonkoszul.oracle import (
@@ -12,6 +14,7 @@ from nonkoszul.oracle import (
     socle_degree_oracle,
     wlp_rank_profile,
 )
+from nonkoszul.verify import canonical_json
 
 
 def brute_mult_map(caps, src_degree, power, p):
@@ -126,6 +129,72 @@ def witness_maps_to_zero(p, d):
 ])
 def test_witness_validity(p, d):
     witness_maps_to_zero(p, d)
+
+
+def kernel_degrees(p, d):
+    """Every degree j in [d_last, top + d_last] at which multiplication by
+    f^{d_last} from degree j - d_last has a kernel, each found by its own
+    rank computation."""
+    caps, power = d[:-1], d[-1]
+    h = hilbert_function(caps)
+    out = []
+    for j in range(power, top_degree(caps) + power + 1):
+        if rank(mult_map(caps, j - power, power, p)) < h[j - power]:
+            out.append(j)
+    return out
+
+
+def brute_e_degree(p, d):
+    """Least kernel degree, ranking every degree from d_last upward."""
+    return min(kernel_degrees(p, d))
+
+
+def test_kernel_degrees_form_an_up_set():
+    for p in (2, 3, 5):
+        for m in (2, 3, 4):
+            for caps in itertools.combinations_with_replacement(
+                    range(1, 6), m):
+                for power in range(1, 7):
+                    d = caps + (power,)
+                    kernel = kernel_degrees(p, d)
+                    last = top_degree(caps) + power
+                    assert kernel == list(range(kernel[0], last + 1)), d
+                    assert kernel[0] == e_degree_oracle(
+                        p, d, want_witness=False).value, (p, d)
+    # E = 4 while the source first outgrows the target at 7
+    assert brute_e_degree(2, (4, 4, 4, 4)) == 4
+    assert e_degree_oracle(2, (4, 4, 4, 4)).value == 4
+
+
+@pytest.mark.parametrize("p,d,ranks", [
+    # one rank at U - 1 proves E = U
+    (8191, (5, 5, 5, 5, 5, 5), 1),
+    # kernels at 6, 5 and 4, then source degree -1 needs no rank
+    (2, (4, 4, 4, 4), 3),
+])
+def test_scan_rank_count(monkeypatch, p, d, ranks):
+    calls = []
+
+    def counting_rank(mat):
+        calls.append(mat.cols)
+        return rank(mat)
+
+    monkeypatch.setattr(oracle, "rank", counting_rank)
+    e_degree_oracle(p, d)
+    assert len(calls) == ranks
+
+
+def test_oracle_outputs_are_pinned():
+    # values and witnesses on every ordered tuple of 2, 3 and 4 entries in
+    # cubes of side 9, 6 and 4 (3,871 points), byte for byte
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 7, 11, 13, 8191):
+        for m, bound in ((2, 9), (3, 6), (4, 4)):
+            for d in itertools.product(range(1, bound + 1), repeat=m):
+                res = e_degree_oracle(p, d).to_dict()
+                digest.update(canonical_json([p, list(d), res]).encode())
+    assert digest.hexdigest() == \
+        "ed40617b94a3a3f11e201a90e351d13d02e3dceb9f684c581903c147ac7b57ff"
 
 
 def test_witness_rendering():

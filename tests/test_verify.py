@@ -92,6 +92,19 @@ def test_e_grid_two_degrees_is_oracle_only():
     assert report["buckets"]["oracle_only"] == 9
 
 
+def test_e_grid_single_degree_runs():
+    # n = 0 leaves the empty box, which has one monomial and needs no
+    # feasibility check
+    report = run_grid({"kind": "e", "p_list": [2], "n_list": [0],
+                       "sum_max": 5})
+    assert report["totals"]["checked"] == 5
+    assert report["totals"]["discrepancies"] == 0
+    report = run_grid({"kind": "e", "p_list": [2, 3], "n_list": [0, 1],
+                       "d_max": 4})
+    assert report["totals"]["checked"] == 40
+    assert report["totals"]["discrepancies"] == 0
+
+
 def test_wlp_grid_small_clean():
     report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [3],
                        "sum_max": 10, "d_max": 6, "d_max_n4": 5,
