@@ -232,10 +232,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = _COMMANDS[args.command](args)
+        _emit(text, args.output)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(text, args.output)
     return code
 
 

@@ -310,8 +310,10 @@ def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
 
 
 def wlp_criterion(p: int, d) -> bool:
-    """Weak Lefschetz verdict from the relation degree: the box quotient on d
-    has WLP iff the relation degree reaches the characteristic-zero value."""
+    """Weak Lefschetz verdict from the relation degree.  For every box d and
+    prime p, the box quotient on d has WLP iff E_p(d) reaches the
+    characteristic-zero value floor((s + 3)/2), s the top degree of the box;
+    the condition char0 need not hold (proof in `verify._wlp_verdict`)."""
     check_prime(p)
     d = check_box(d)
     return ep_dispatch(p, d, want_witness=False).value >= _char0_value(d)

@@ -205,11 +205,20 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
 
 
 def socle_degree_oracle(p: int, K, a: int) -> int:
-    """Top nonzero degree of the box quotient on caps K cut further by the
-    diagonal form x_1^a + ... + x_m^a.
+    """Top nonzero degree of the box quotient A on caps K cut further by the
+    diagonal form g = x_1^a + ... + x_m^a.
 
-    Vanishing of a graded piece propagates upward here, so the top degree is
-    found by binary search on the degree; each probe is one rank.
+    Let H be the Hilbert function of A (zero above its top degree `top`) and
+    U the least i with H[i] > H[i + a]; U <= top, as H[top] = 1.  Then
+    x g : A_U -> A_{U+a} has a kernel by dimension count.  A is Gorenstein
+    with socle x^{c-1} in degree top, so A_i x A_{top-i} -> A_top is a
+    perfect pairing, under which x g from A_{j-a} to A_j is the transpose of
+    x g from A_{top-j} to A_{top-j+a}.  So A/(g) is nonzero in degree
+    top - U, and the top degree lies in [top - U, top].  Vanishing of a
+    graded piece of A/(g) propagates upward, so binary search finds it, one
+    rank per probe.  Every probe degree is at least a: if a <= top, then
+    i = top + 1 - a qualifies, so U <= top + 1 - a and each probe exceeds
+    top - U >= a - 1; otherwise U = 0 and nothing is probed.
     """
     caps = check_box(K)
     check_prime(p)
@@ -221,18 +230,11 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     # x_1^a + ... + x_m^a: one unit-coefficient shift per variable
     comps = a * np.eye(len(caps), dtype=np.int64)
     coeffs = (1,) * len(caps)
-
-    def alive(j: int) -> bool:
-        if j > top:
-            return False
-        if j < a:
-            return True
-        return rank(_shift_matrix(caps, j - a, a, comps, coeffs, p)) < H[j]
-
-    lo, hi = 0, top + 1
+    U = next(i for i in range(top + 1) if i + a > top or H[i] > H[i + a])
+    lo, hi = top - U, top + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if alive(mid):
+        if rank(_shift_matrix(caps, mid - a, a, comps, coeffs, p)) < H[mid]:
             lo = mid
         else:
             hi = mid

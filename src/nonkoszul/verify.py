@@ -12,9 +12,10 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
-from .formulas import (NotApplicableError, applicability, condition_char0,
-                       e0_formula, ep_formula, fthreshold_formula, frac_str,
-                       tsd_formula, wlp_classify_n3, wlp_classify_n4,
+from .formulas import (NotApplicableError, _char0_value, applicability,
+                       condition_char0, e0_formula, ep_formula,
+                       fthreshold_formula, frac_str, tsd_formula,
+                       wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
 from .monomials import hilbert_function
 from .oracle import (e_degree_oracle, nu_value, socle_degree_oracle,
@@ -57,6 +58,8 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GridSpec":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a grid must be a JSON object, got {doc!r}")
         specs = {f.name: f for f in fields(cls)}
         unknown = set(doc) - set(specs)
         if unknown:
@@ -257,12 +260,20 @@ def verify_e_grid(spec: GridSpec) -> dict:
     return _report(spec, enumerated, buckets, discrepancies, checks=checks)
 
 
-def _profile_verdict(p: int, d, cache: _OracleCache) -> bool:
-    """Rank-profile WLP verdict; under the characteristic-zero condition the
-    relation-degree criterion is equivalent and much cheaper."""
-    if condition_char0(d):
-        return cache.value(p, d) == e0_formula(d)
-    return wlp_rank_profile(p, d).verdict
+def _wlp_verdict(p: int, d, cache: _OracleCache) -> bool:
+    """WLP of the box quotient A on d, by the relation-degree criterion of
+    `formulas.wlp_criterion`, for every box.
+
+    A cap of 1 kills its variable, so by symmetry E(d) = E(d_1, ..., d_m, 1),
+    one more than the least degree where x l has a kernel on A (l the sum of
+    the variables).  Kernels of x l persist upward (the socle argument in
+    `oracle.e_degree_oracle`).  A is Gorenstein with top degree s, so x l
+    from degree j is the transpose of x l from degree s - 1 - j, and H is
+    symmetric and unimodal.  Hence A has WLP iff x l is injective from
+    degree t = floor((s - 1)/2), iff E(d) >= t + 2 = floor((s + 3)/2), which
+    is the characteristic-zero value of d.
+    """
+    return cache.value(p, d) >= _char0_value(d)
 
 
 def verify_wlp_grid(spec: GridSpec) -> dict:
@@ -310,13 +321,16 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             for d in combinations_with_replacement(
                     range(p, min(cube, p * p - 1) + 1), n + 1):
                 enumerated += 1
+                if not _box_feasible(d, spec.matrix_cap):
+                    buckets["skipped"] += 1
+                    continue
                 try:
                     claimed = classify(p, d)
                 except NotApplicableError:
                     buckets[f"n{n}_out_of_scope"] += 1
                     continue
                 buckets[f"n{n}_classified"] += 1
-                actual = _profile_verdict(p, d, cache)
+                actual = _wlp_verdict(p, d, cache)
                 if claimed != actual:
                     discrepancies.append({"check": f"wlp_classify_n{n}",
                                           "p": p, "d": list(d),
@@ -334,12 +348,15 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
         for d in combinations_with_replacement(
                 range(p, min(spec.d_max_n5, p * p - 1) + 1), 6):
             enumerated += 1
+            if not _box_feasible(d, spec.matrix_cap):
+                buckets["skipped"] += 1
+                continue
             rep = applicability(p, d)
             if not rep.main_applicable or rep.q == 1:
                 buckets["n5_out_of_scope"] += 1
                 continue
             buckets["n5_checked"] += 1
-            if _profile_verdict(p, d, cache):
+            if _wlp_verdict(p, d, cache):
                 discrepancies.append({"check": "wlp_n5_exclusion", "p": p,
                                       "d": list(d), "profile": True})
 
@@ -390,6 +407,8 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     which the limit argument runs) and asserts the signed deviation
     c - nu(q)/q never increases along the reported rows.
     """
+    if e_max < 0:
+        raise ValueError(f"need e_max >= 0, got {e_max}")
     result = fthreshold_formula(p, a, n)
     rows = []
     devs: list[Fraction] = []

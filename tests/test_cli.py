@@ -106,6 +106,13 @@ def test_e_output_file(tmp_path):
     assert canonical_json(doc).encode() == raw
 
 
+def test_output_write_failure_exits_1(tmp_path):
+    out = tmp_path / "missing" / "result.json"
+    proc = run_cli("e", "--p", "3", "--d", "2,2,2", "-o", str(out), expect=1)
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_wlp_command():
     proc = run_cli("wlp", "--p", "3", "--d", "2,2,2")
     doc = json.loads(proc.stdout)
@@ -137,6 +144,17 @@ def test_fthreshold_convergence_flag():
     doc = json.loads(proc.stdout)
     assert [row["q"] for row in doc["convergence"]["rows"]] == [1, 3, 9]
     assert doc["convergence"]["totals"]["discrepancies"] == 0
+
+
+def test_fthreshold_negative_converge_exits_1(tmp_path):
+    proc = run_cli("fthreshold", "--p", "3", "--a", "2", "--n", "2",
+                   "--converge", "-5", expect=1)
+    assert proc.stderr.startswith("error: ") and "e_max" in proc.stderr
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"kind": "fthreshold_convergence", "p": 3,
+                                "a": 2, "n": 2, "e_max": -5}))
+    proc = run_cli("verify", "--grid", str(grid), expect=1)
+    assert proc.stderr.startswith("error: ") and "e_max" in proc.stderr
 
 
 def test_verify_command(tmp_path):
@@ -176,6 +194,12 @@ def test_verify_bad_grid_exits_1(tmp_path):
         grid.write_text(json.dumps(doc))
         proc = run_cli("verify", "--grid", str(grid), expect=1)
         assert proc.stderr.startswith("error: ") and field in proc.stderr
+        assert "Traceback" not in proc.stderr
+    # a grid file must hold a JSON object
+    for text in ('["kind"]', "5", "null"):
+        grid.write_text(text)
+        proc = run_cli("verify", "--grid", str(grid), expect=1)
+        assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
 

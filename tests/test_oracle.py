@@ -299,6 +299,35 @@ def test_socle_degree_matches_full_scan(p, K, a):
     assert socle_degree_oracle(p, K, a) == brute_socle_degree(p, K, a)
 
 
+def test_socle_outputs_are_pinned():
+    # every multiset of 1, 2 and 3 caps in cubes of side 14, 10 and 7, with
+    # a <= 6 (3,672 inputs), byte for byte
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 7):
+        for a in range(1, 7):
+            for m, side in ((1, 14), (2, 10), (3, 7)):
+                for K in itertools.combinations_with_replacement(
+                        range(1, side + 1), m):
+                    doc = [p, list(K), a, socle_degree_oracle(p, K, a)]
+                    digest.update(canonical_json(doc).encode())
+    assert digest.hexdigest() == \
+        "af14c3f2466410fa8b67e45ed539b321cc87ed12f58644926d6a873a45703292"
+
+
+def test_socle_search_starts_at_dimension_bound(monkeypatch):
+    # (4,4) has top 6 and U = 2 for a = 3, so the search runs on [4, 6]
+    # and one rank at degree 5 settles it
+    calls = []
+
+    def counting_rank(mat):
+        calls.append(mat.cols)
+        return rank(mat)
+
+    monkeypatch.setattr(oracle, "rank", counting_rank)
+    assert socle_degree_oracle(2, (4, 4), 3) == 4
+    assert len(calls) == 1
+
+
 def test_nu_values():
     # closed form for a=1: every variable to the q, so the socle sits at
     # (n+1)(q-1) - q + 1

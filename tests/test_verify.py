@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from nonkoszul import verify
+from nonkoszul.formulas import condition_char0
+from nonkoszul.oracle import wlp_rank_profile
 from nonkoszul.verify import (
     GridSpec,
     canonical_json,
@@ -115,6 +118,38 @@ def test_wlp_grid_small_clean():
     assert report["buckets"]["filter_checked"] > 0
 
 
+def test_wlp_verdict_matches_rank_profile():
+    # the one-comparison verdict against the full rank profile on every
+    # multiset of 2, 3 and 4 caps in cubes of side 9, 6 and 4 (408 boxes),
+    # most of them outside the characteristic-zero condition
+    cache = verify._OracleCache()
+    outside = 0
+    for p in (2, 3, 5):
+        for m, side in ((2, 9), (3, 6), (4, 4)):
+            for d in itertools.combinations_with_replacement(
+                    range(1, side + 1), m):
+                outside += not condition_char0(d)
+                assert verify._wlp_verdict(p, d, cache) == \
+                    wlp_rank_profile(p, d).verdict, (p, d)
+    assert outside == 279
+
+
+def test_wlp_grid_skips_oversized_boxes(monkeypatch):
+    # the four-, five- and six-cap sections honour matrix_cap before any rank
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle called on a skipped point")
+
+    monkeypatch.setattr(verify, "e_degree_oracle", no_oracle)
+    monkeypatch.setattr(verify, "wlp_rank_profile", no_oracle)
+    report = run_grid({"kind": "wlp", "p_list": [3], "n_list": [],
+                       "d_max": 5, "d_max_n4": 5, "d_max_n5": 4,
+                       "matrix_cap": 10})
+    totals = report["totals"]
+    assert totals["skipped"] > 0
+    assert totals["skipped"] == totals["enumerated"]
+    assert totals["checked"] == 0
+
+
 def _sha256(report) -> str:
     return hashlib.sha256(canonical_json(report).encode()).hexdigest()
 
@@ -122,7 +157,7 @@ def _sha256(report) -> str:
 def test_agreements_count_failing_points_once(monkeypatch):
     # a forced WLP verdict makes some five-cap points fail twice (wrong
     # classification and unexpected pass); each still costs one agreement
-    monkeypatch.setattr(verify, "_profile_verdict", lambda p, d, cache: True)
+    monkeypatch.setattr(verify, "_wlp_verdict", lambda p, d, cache: True)
     report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [3],
                        "sum_max": 10, "d_max": 6, "d_max_n4": 5,
                        "d_max_n5": 4})
