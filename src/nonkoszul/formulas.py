@@ -14,7 +14,7 @@ from itertools import product
 
 from .modp import check_prime, largest_power_leq
 from .monomials import check_box
-from .oracle import EResult, e_degree_oracle
+from .oracle import EResult, _degenerate, e_degree_oracle
 
 
 class NotApplicableError(Exception):
@@ -110,6 +110,15 @@ def applicability(p: int, d) -> ApplicabilityReport:
     )
 
 
+def _splits(k, r):
+    """The terms of a base-q split d = kq + r: for each epsilon in
+    {0,1}^len(k), in `product` order, yield (epsilon, k + epsilon, the sum
+    of the r_i where epsilon_i = 0)."""
+    for eps in product((0, 1), repeat=len(k)):
+        yield (eps, tuple(ki + ei for ki, ei in zip(k, eps)),
+               sum(ri for ri, ei in zip(r, eps) if ei == 0))
+
+
 def min_function(p: int, q: int, k, r) -> int:
     """min over epsilon in {0,1}^(n+1) of q*ep_base(k + epsilon) plus the
     remainders at the coordinates where epsilon is 0."""
@@ -122,17 +131,7 @@ def min_function(p: int, q: int, k, r) -> int:
         raise ValueError("need k_i >= 1 and 0 <= r_i < q")
     if any(ki + 1 > p for ki in k):
         raise NotApplicableError(("main_thm_k_range",))
-    best = None
-    for eps in product((0, 1), repeat=len(k)):
-        kk = tuple(ki + ei for ki, ei in zip(k, eps))
-        value = q * ep_base(p, kk) + sum(ri for ri, ei in zip(r, eps) if ei == 0)
-        if best is None or value < best:
-            best = value
-    return best
-
-
-def _degenerate(d: tuple[int, ...]) -> bool:
-    return d[-1] > sum(x - 1 for x in d[:-1])
+    return min(q * ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
 
 
 def ep_main(p: int, d) -> EResult:
@@ -175,21 +174,14 @@ def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
     d = check_box((d1, d2, d3))
     if 2 * max(d) > sum(d):
         raise NotApplicableError(("triangle_inequality",))
-    best = None
+    values = []
     q = 1
-    total = sum(d)
-    while q <= total:
-        k = [di // q for di in d]
-        r = [di % q for di in d]
-        for eps in product((0, 1), repeat=3):
-            if any(ki + ei == 0 for ki, ei in zip(k, eps)):
-                continue
-            tot = sum(k) + sum(eps)
-            value = q * (tot // 2) + sum(ri for ri, ei in zip(r, eps) if ei == 0)
-            if best is None or value < best:
-                best = value
+    while q <= sum(d):
+        values += [q * (sum(kk) // 2) + rest for _, kk, rest in
+                   _splits([x // q for x in d], [x % q for x in d])
+                   if 0 not in kk]
         q *= p
-    return best
+    return min(values)
 
 
 def ep_formula(p: int, d) -> EResult:
@@ -311,9 +303,19 @@ def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
 
 def wlp_criterion(p: int, d) -> bool:
     """Weak Lefschetz verdict from the relation degree.  For every box d and
-    prime p, the box quotient on d has WLP iff E_p(d) reaches the
+    prime p, the box quotient A on d has WLP iff E_p(d) reaches the
     characteristic-zero value floor((s + 3)/2), s the top degree of the box;
-    the condition char0 need not hold (proof in `verify._wlp_verdict`)."""
+    the condition char0 need not hold.
+
+    A cap of 1 kills its variable, so by symmetry E(d) = E(d_1, ..., d_m, 1),
+    one more than the least degree where x l has a kernel on A (l the sum of
+    the variables).  Kernels of x l persist upward (the socle argument in
+    `oracle.e_degree_oracle`).  A is Gorenstein with top degree s, so x l
+    from degree j is the transpose of x l from degree s - 1 - j, and H is
+    symmetric and unimodal.  Hence A has WLP iff x l is injective from
+    degree t = floor((s - 1)/2), iff E(d) >= t + 2 = floor((s + 3)/2), which
+    is the characteristic-zero value of d.
+    """
     check_prime(p)
     d = check_box(d)
     return ep_dispatch(p, d, want_witness=False).value >= _char0_value(d)

@@ -122,20 +122,33 @@ class EResult:
         return doc
 
 
+def _degenerate(d: tuple[int, ...]) -> bool:
+    """d_last exceeds the top degree of the box d[:-1], so f^{d_last} is 0."""
+    return d[-1] > sum(x - 1 for x in d[:-1])
+
+
+def _dimension_bound(H: list[int], t: int) -> int:
+    """Least source degree i where a map of degree t on a box with Hilbert
+    function H must have a kernel: H[i] > H[i + t], with H zero past its top
+    degree len(H) - 1.  At most that top degree, where H is 1."""
+    return next(i for i, h in enumerate(H) if i + t >= len(H) or h > H[i + t])
+
+
 def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     """Least degree of a kernel element of x f^{d_last} on the box d[:-1].
 
-    Let power = d_last, H the Hilbert function of the box (zero above its top
-    degree `top`) and U the least j >= power with H[j - power] > H[j]; then
-    U <= top + power, as H[top] = 1, and the map from degree U - power has a
-    kernel by dimension count.  Kernels persist upward: a nonzero g of degree
-    s < top with f^power g = 0 is not in the socle, which is spanned by the
-    single monomial x^{c-1} in degree top, so x_i g != 0 for some i, and
-    f^power x_i g = 0 in degree s + 1.  Hence the scan runs down from U - 1,
-    one rank per degree, while the map has a kernel; the answer is one above
-    the first injective degree, or d_last (source degree -1 is empty).  The
-    witness (when requested) comes from one exact elimination on the
-    decisive matrix.
+    Let power = d_last, H the Hilbert function of the box and `top` its top
+    degree.  U = `_dimension_bound(H, power)` is the least source degree i
+    with H[i] > H[i + power] (H zero above top), so U <= top and the map from
+    source degree U has a kernel by dimension count.  Kernels persist upward:
+    a nonzero g of degree s < top with f^power g = 0 is not in the socle,
+    which is spanned by the single monomial x^{c-1} in degree top, so
+    x_i g != 0 for some i, and f^power x_i g = 0 in degree s + 1.  Hence the
+    scan runs down from source degree U - 1, one rank per degree, while the
+    map has a kernel.  With i the lowest source degree found to have a
+    kernel (0 if all do, as source degree -1 is empty), the answer is
+    d_last + i.  The witness (when requested) comes from one exact
+    elimination on the map from source degree i.
     """
     check_prime(p)
     d = check_box(d)
@@ -143,19 +156,16 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
         # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
     caps, power = d[:-1], d[-1]
-    top = top_degree(caps)
-    H = hilbert_function(caps) + [0] * power
-    value = next(j for j in range(power, top + power + 1)
-                 if H[j - power] > H[j])
-    while value > power and rank(
-            mult_map(caps, value - 1 - power, power, p)) < H[value - 1 - power]:
-        value -= 1
+    H = hilbert_function(caps)
+    i = _dimension_bound(H, power)
+    while i > 0 and rank(mult_map(caps, i - 1, power, p)) < H[i - 1]:
+        i -= 1
     wit = None
     if want_witness:
-        vec = kernel_witness(mult_map(caps, value - power, power, p))
-        wit = KernelWitness(box=caps, degree=value - power, coefficients=vec)
-    return EResult(value=value, method="oracle",
-                   degenerate=power > top, witness=wit)
+        vec = kernel_witness(mult_map(caps, i, power, p))
+        wit = KernelWitness(box=caps, degree=i, coefficients=vec)
+    return EResult(value=power + i, method="oracle",
+                   degenerate=_degenerate(d), witness=wit)
 
 
 @dataclass(frozen=True)
@@ -209,16 +219,17 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     diagonal form g = x_1^a + ... + x_m^a.
 
     Let H be the Hilbert function of A (zero above its top degree `top`) and
-    U the least i with H[i] > H[i + a]; U <= top, as H[top] = 1.  Then
-    x g : A_U -> A_{U+a} has a kernel by dimension count.  A is Gorenstein
-    with socle x^{c-1} in degree top, so A_i x A_{top-i} -> A_top is a
-    perfect pairing, under which x g from A_{j-a} to A_j is the transpose of
-    x g from A_{top-j} to A_{top-j+a}.  So A/(g) is nonzero in degree
-    top - U, and the top degree lies in [top - U, top].  Vanishing of a
-    graded piece of A/(g) propagates upward, so binary search finds it, one
-    rank per probe.  Every probe degree is at least a: if a <= top, then
-    i = top + 1 - a qualifies, so U <= top + 1 - a and each probe exceeds
-    top - U >= a - 1; otherwise U = 0 and nothing is probed.
+    U = `_dimension_bound(H, a)`, the least i with H[i] > H[i + a]; U <= top,
+    as H[top] = 1.  Then x g : A_U -> A_{U+a} has a kernel by dimension
+    count.  A is Gorenstein with socle x^{c-1} in degree top, so
+    A_i x A_{top-i} -> A_top is a perfect pairing, under which x g from
+    A_{j-a} to A_j is the transpose of x g from A_{top-j} to A_{top-j+a}.
+    So A/(g) is nonzero in degree top - U, and the top degree lies in
+    [top - U, top].  Vanishing of a graded piece of A/(g) propagates upward,
+    so binary search finds it, one rank per probe.  Every probe degree is at
+    least a: if a <= top, then i = top + 1 - a qualifies, so
+    U <= top + 1 - a and each probe exceeds top - U >= a - 1; otherwise
+    U = 0 and nothing is probed.
     """
     caps = check_box(K)
     check_prime(p)
@@ -230,7 +241,7 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     # x_1^a + ... + x_m^a: one unit-coefficient shift per variable
     comps = a * np.eye(len(caps), dtype=np.int64)
     coeffs = (1,) * len(caps)
-    U = next(i for i in range(top + 1) if i + a > top or H[i] > H[i + a])
+    U = _dimension_bound(H, a)
     lo, hi = top - U, top + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2

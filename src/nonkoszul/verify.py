@@ -7,14 +7,16 @@ raised; a verification run is data.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
-from .formulas import (NotApplicableError, _char0_value, applicability,
-                       condition_char0, e0_formula, ep_formula,
-                       fthreshold_formula, frac_str, tsd_formula,
+from .formulas import (NotApplicableError, _char0_value, _splits,
+                       applicability, condition_char0, e0_formula,
+                       ep_formula, fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
 from .monomials import hilbert_function
@@ -214,13 +216,10 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 # upper bounds from every base-q split of the tuple
                 q = 1
                 while q <= min(d):
-                    k = [di // q for di in d]
-                    r = [di % q for di in d]
                     checks["power_split_bound"] += 1
-                    for eps in product((0, 1), repeat=n + 1):
-                        kk = tuple(ki + ei for ki, ei in zip(k, eps))
-                        bound = q * cache.value(p, kk) + sum(
-                            ri for ri, ei in zip(r, eps) if ei == 0)
+                    for eps, kk, rest in _splits([x // q for x in d],
+                                                 [x % q for x in d]):
+                        bound = q * cache.value(p, kk) + rest
                         if oracle_value > bound:
                             discrepancies.append({
                                 "check": "power_split_bound", "p": p,
@@ -245,7 +244,9 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 if spec.sum_max is not None:
                     limit = min(limit, spec.sum_max)
                 for d in _simplex(n + 1, limit, nondecreasing=True):
-                    if spec.d_max is not None and max(d) > spec.d_max:
+                    # d is sorted, so d[1:] is the largest box it rearranges to
+                    if (spec.d_max is not None and max(d) > spec.d_max
+                            or not _box_feasible(d[1:], spec.matrix_cap)):
                         continue
                     checks["symmetry_classes"] += 1
                     values = {perm: e_degree_oracle(p, perm,
@@ -261,18 +262,9 @@ def verify_e_grid(spec: GridSpec) -> dict:
 
 
 def _wlp_verdict(p: int, d, cache: _OracleCache) -> bool:
-    """WLP of the box quotient A on d, by the relation-degree criterion of
-    `formulas.wlp_criterion`, for every box.
-
-    A cap of 1 kills its variable, so by symmetry E(d) = E(d_1, ..., d_m, 1),
-    one more than the least degree where x l has a kernel on A (l the sum of
-    the variables).  Kernels of x l persist upward (the socle argument in
-    `oracle.e_degree_oracle`).  A is Gorenstein with top degree s, so x l
-    from degree j is the transpose of x l from degree s - 1 - j, and H is
-    symmetric and unimodal.  Hence A has WLP iff x l is injective from
-    degree t = floor((s - 1)/2), iff E(d) >= t + 2 = floor((s + 3)/2), which
-    is the characteristic-zero value of d.
-    """
+    """WLP of the box quotient on d, by the relation-degree criterion of
+    `formulas.wlp_criterion` (proved there for every box) on the oracle's
+    relation degree."""
     return cache.value(p, d) >= _char0_value(d)
 
 
@@ -492,18 +484,16 @@ def discrepancies_csv(report: dict) -> str:
     """Flatten a report's discrepancy records to CSV text (header always)."""
     records = report.get("discrepancies", [])
     base = ["check", "p", "d"]
-    extra = sorted({k for rec in records for k in rec} - set(base))
-    keys = base + extra
-    lines = [",".join(["index"] + keys)]
-    for i, rec in enumerate(records):
-        row = [str(i)]
-        for k in keys:
-            v = rec.get(k, "")
-            if isinstance(v, (list, dict)):
-                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-            v = str(v)
-            if "," in v or '"' in v:
-                v = '"' + v.replace('"', '""') + '"'
-            row.append(v)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    keys = base + sorted({k for rec in records for k in rec} - set(base))
+
+    def cell(v) -> str:
+        if isinstance(v, (list, dict)):
+            return json.dumps(v, sort_keys=True, separators=(",", ":"))
+        return str(v)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["index"] + keys)
+    writer.writerows([i] + [cell(rec.get(k, "")) for k in keys]
+                     for i, rec in enumerate(records))
+    return out.getvalue()

@@ -6,6 +6,7 @@ import pytest
 
 from nonkoszul.formulas import (
     NotApplicableError,
+    _splits,
     applicability,
     condition_char0,
     e0_formula,
@@ -54,6 +55,14 @@ def test_min_function_worked_cases():
     assert min_function(5, 5, (1, 1, 1, 3), (2, 2, 2, 3)) == 20
     # all remainders zero: epsilon = 0 dominates and the value is q * base
     assert min_function(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * ep_base(3, (1, 1, 1, 1))
+
+
+def test_splits_enumerate_in_product_order():
+    # every epsilon in {0,1}^2, first coordinate major, with k + epsilon and
+    # the remainders where epsilon is 0
+    assert list(_splits((1, 2), (3, 4))) == [
+        ((0, 0), (1, 2), 7), ((0, 1), (1, 3), 3),
+        ((1, 0), (2, 2), 4), ((1, 1), (2, 3), 0)]
 
 
 def test_min_function_rejects_k_out_of_range():

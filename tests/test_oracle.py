@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_degenerate_flag():
     assert res.value == 9
     res = e_degree_oracle(3, (3, 3, 3))
     assert not res.degenerate
+
+
+def test_degenerate_query_allocates_nothing_for_the_last_degree():
+    # the dimension bound needs no Hilbert function past the box's top
+    # degree, so a huge last degree costs no memory
+    tracemalloc.start()
+    try:
+        res = e_degree_oracle(3, (2, 2, 10 ** 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 10 ** 7
+    assert res.degenerate
+    assert res.witness.degree == 0
+    assert peak < 2 ** 20
 
 
 def test_symmetry_under_permutations():

@@ -87,6 +87,15 @@ def test_e_grid_paths_filter():
     assert han_only["totals"]["discrepancies"] == 0
 
 
+def test_e_grid_symmetry_section_honours_matrix_cap():
+    # a symmetry class is ranked only when its largest box fits the cap;
+    # the main loop skips 20 of the 56 points of this grid
+    report = run_grid({"kind": "e", "p_list": [3], "n_list": [2],
+                       "sum_max": 8, "matrix_cap": 1})
+    assert report["totals"]["skipped"] == 20
+    assert report["checks"]["symmetry_classes"] == 6
+
+
 def test_e_grid_two_degrees_is_oracle_only():
     # no closed form covers n = 1, so every point is an oracle-only check
     report = run_grid({"kind": "e", "p_list": [2], "n_list": [1], "d_max": 3})
@@ -169,6 +178,11 @@ def test_agreements_count_failing_points_once(monkeypatch):
     assert totals["discrepancies"] == 88
     assert _sha256(report) == \
         "169e24e9f4d25a1512e6fda73a7d375d2d75a1386f1d0a798c7d4886e7826927"
+    # and so do the bytes of their CSV
+    csv_bytes = discrepancies_csv(report).encode()
+    assert len(csv_bytes) == 3949
+    assert hashlib.sha256(csv_bytes).hexdigest() == \
+        "0dd19f5f5690f685494111cbba63752e0d721a6c0e688d43c1b7c00f9016faba"
 
 
 def test_report_bytes_are_pinned():
@@ -251,6 +265,14 @@ def test_discrepancies_csv():
     assert lines[0].startswith("index,check")
     assert len(lines) == 3
     assert "formula_vs_oracle" in lines[1]
+    # cells holding a comma or a quote are quoted with doubled quotes, and
+    # None is written as the text None, not as an empty field
+    report = {"discrepancies": [
+        {"check": "symmetry", "p": 3, "d": [1, 2, 3],
+         "values": {"1,2,3": 4}, "bound": None}]}
+    assert discrepancies_csv(report) == (
+        "index,check,p,d,bound,values\n"
+        '0,symmetry,3,"[1,2,3]",None,"{""1,2,3"":4}"\n')
 
 
 def test_suite_json_stable_across_runs():
