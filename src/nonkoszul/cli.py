@@ -11,8 +11,8 @@ import functools
 import json
 import sys
 
-from .formulas import (NotApplicableError, ep_dispatch, ep_formula,
-                       fthreshold_formula, tsd_formula)
+from .formulas import (NotApplicableError, _refused_minimum, ep_dispatch,
+                       ep_formula, fthreshold_formula, tsd_formula)
 from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
 from .verify import (MATRIX_CAP, _simplex, canonical_json, discrepancies_csv,
                      fthreshold_convergence, run_grid)
@@ -129,7 +129,7 @@ def _cmd_e(args) -> tuple[str, int]:
         res = route(args.p, args.d)
     except NotApplicableError as exc:
         doc.update(status="not_applicable", failing=list(exc.failing),
-                   min_function_value=exc.min_value)
+                   min_function_value=_refused_minimum(args.p, args.d))
         code = 2
     else:
         doc.update(res.to_dict())

@@ -18,12 +18,10 @@ from .oracle import EResult, _degenerate, e_degree_oracle
 
 
 class NotApplicableError(Exception):
-    """A closed formula declined the input; carries the failing flags and,
-    when the base-formula range still holds, the minimum-function value."""
+    """A closed formula declined the input; carries the failing flags."""
 
-    def __init__(self, failing, min_value=None):
+    def __init__(self, failing):
         self.failing = tuple(failing)
-        self.min_value = min_value
         super().__init__("formula not applicable: " + ", ".join(self.failing))
 
 
@@ -71,7 +69,6 @@ class ApplicabilityReport:
     e: int
     k: tuple[int, ...]
     r: tuple[int, ...]
-    char0_condition: bool
     main_thm_k_range: bool
     main_thm_condition5: bool
     same_q_for_all: bool
@@ -103,7 +100,6 @@ def applicability(p: int, d) -> ApplicabilityReport:
     cond5 = all(ki <= bound for ki in k)
     return ApplicabilityReport(
         p=p, d=d, q=q, e=e, k=k, r=r,
-        char0_condition=condition_char0(d),
         main_thm_k_range=k_range,
         main_thm_condition5=cond5,
         same_q_for_all=same_q,
@@ -143,20 +139,29 @@ def ep_main(p: int, d) -> EResult:
     rep = applicability(p, d)
     failing = rep.failing_main_flags()
     if failing:
-        min_value = None
-        if rep.main_thm_k_range:
-            min_value = min_function(p, rep.q, rep.k, rep.r)
-        raise NotApplicableError(failing, min_value=min_value)
+        raise NotApplicableError(failing)
     value = min_function(p, rep.q, rep.k, rep.r)
     if rep.q > 1:
         method = "main"
     else:
         # q = 1 collapses the split, so the value is the base formula's; call
         # it char0 when the char-0 theorem provably gives the same number
-        method = ("char0" if rep.char0_condition and p >= _char0_value(d)
+        method = ("char0" if condition_char0(d) and p >= _char0_value(d)
                   else "base")
     return EResult(value=value, method=method, degenerate=_degenerate(d),
                    witness=None)
+
+
+def _refused_minimum(p: int, d) -> int | None:
+    """The split minimum reported beside a refused closed form: `min_function`
+    on the base-q split of d, or None when d has fewer than four degrees or
+    some k_i lies outside [1, p - 1]."""
+    if len(d) < 4:
+        return None
+    rep = applicability(p, d)
+    if not rep.main_thm_k_range:
+        return None
+    return min_function(p, rep.q, rep.k, rep.r)
 
 
 def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
@@ -192,6 +197,8 @@ def ep_formula(p: int, d) -> EResult:
                        degenerate=_degenerate(d), witness=None)
     if len(d) >= 4:
         return ep_main(p, d)
+    check_prime(p)
+    check_box(d)
     raise NotApplicableError(("formula_route",))
 
 
@@ -207,7 +214,22 @@ def ep_dispatch(p: int, d, want_witness: bool = True) -> EResult:
 
 def tsd_formula(p: int, K, a: int, e_provider=None) -> int:
     """Top socle degree of the box on caps K cut by the degree-a diagonal
-    form, maximized over the valid rounding choices of K_i = a*d_i + e_i."""
+    form g = x_1^a + ... + x_m^a.  With K_i = a*k_i + e_i it is
+    sum(K) - m + a minus the least a*E(c) + (the e_i where eps_i = 0) over
+    the splits c = k + eps of `_splits` with every c_i >= 1 and eps_i = 1
+    only where e_i >= 1.
+
+    Multiplying by g keeps the residue mod a of every exponent, so the
+    quotient is a direct sum of residue blocks x^r * k[y]/(y^c, sum y), with
+    y_i = x_i^a and c_i = ceil((K_i - r_i)/a) = k_i + eps_i, where eps_i = 1
+    iff r_i < e_i.  A block with some c_i = 0 is zero.  Eliminating y_m
+    leaves the box on c_1..c_{m-1} modulo (y_1 + ... + y_{m-1})^{c_m}, and
+    Gorenstein duality turns "not onto in degree j" into "a kernel from
+    degree |c| - m - c_m + 1 - j", so the block has top y-degree
+    |c| - m + 1 - E(c).  For a given c the largest |r| is the sum of
+    e_i - 1 where eps_i = 1 and of a - 1 where eps_i = 0.  So the block's
+    top degree is a*(|c| - m + 1 - E(c)) + |r|, which is the term
+    sum(K) - m + a - a*E(c) - (the e_i where eps_i = 0)."""
     check_prime(p)
     K = check_box(K)
     a = int(a)
@@ -215,26 +237,10 @@ def tsd_formula(p: int, K, a: int, e_provider=None) -> int:
         raise ValueError("exponent a must be positive")
     if e_provider is None:
         e_provider = lambda t: ep_dispatch(p, t, want_witness=False)
-    m = len(K)
-    d = [Ki // a for Ki in K]
-    e = [Ki % a for Ki in K]
-    choices = []
-    for di, ei in zip(d, e):
-        opts = []
-        if di >= 1:
-            opts.append(0)
-        if ei >= 1:
-            opts.append(1)
-        choices.append(opts)   # K_i >= 1 guarantees at least one option
-    best = None
-    for eps in product(*choices):
-        dd = tuple(di + ei for di, ei in zip(d, eps))
-        E = e_provider(dd).value
-        g = sum(a - 1 if ei == 0 else e[i] - 1 for i, ei in enumerate(eps))
-        value = a * (sum(dd) - m - E + 1) + g
-        if best is None or value > best:
-            best = value
-    return best
+    k, e = zip(*(divmod(Ki, a) for Ki in K))
+    return sum(K) - len(K) + a - min(
+        a * e_provider(c).value + rest for eps, c, rest in _splits(k, e)
+        if 0 not in c and all(ei <= ri for ei, ri in zip(eps, e)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .formulas import (NotApplicableError, _char0_value, _splits,
                        ep_formula, fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
+from .modp import check_prime
 from .monomials import hilbert_function
 from .oracle import (e_degree_oracle, nu_value, socle_degree_oracle,
                      wlp_rank_profile)
@@ -94,6 +95,11 @@ class GridSpec:
         if any(n < 0 for n in spec.n_list):
             raise ValueError(f"grid field 'n_list' must hold no negative "
                              f"entries, got {list(spec.n_list)}")
+        for p in spec.p_list:
+            try:
+                check_prime(p)
+            except ValueError as exc:
+                raise ValueError(f"grid field 'p_list': {exc}") from None
         return spec
 
     def to_dict(self) -> dict:

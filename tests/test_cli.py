@@ -93,6 +93,11 @@ def test_e_bad_inputs_exit_1():
     run_cli("e", "--p", "4", "--d", "2,2", expect=1)
     run_cli("e", "--p", "5", "--d", "0,2", expect=1)
     run_cli("e", "--p", "5", "--d", "x,y", expect=1)
+    # the formula route checks one- and two-entry tuples before refusing them
+    for p, d in (("4", "3,4"), ("5", "0,5"), ("5", "-2")):
+        proc = run_cli("e", "--p", p, "--d", d, "--method", "formula",
+                       expect=1)
+        assert proc.stderr.startswith("error: ")
     run_cli("e", "--p", "5", expect=1)
     run_cli("nosuchcommand", expect=1)
 
@@ -195,6 +200,14 @@ def test_verify_bad_grid_exits_1(tmp_path):
         proc = run_cli("verify", "--grid", str(grid), expect=1)
         assert proc.stderr.startswith("error: ") and field in proc.stderr
         assert "Traceback" not in proc.stderr
+    # every p_list entry must be a prime
+    for kind, extra in (("wlp", {"n_list": [3], "sum_max": 8, "d_max": 4}),
+                        ("tsd", {"n_list": [2], "K_max": 3, "a_max": 2})):
+        for p in (0, 1, 4):
+            grid.write_text(json.dumps({"kind": kind, "p_list": [p], **extra}))
+            proc = run_cli("verify", "--grid", str(grid), expect=1)
+            assert proc.stderr.startswith("error: ")
+            assert "p_list" in proc.stderr and "Traceback" not in proc.stderr
     # a grid file must hold a JSON object
     for text in ('["kind"]', "5", "null"):
         grid.write_text(text)

@@ -1,11 +1,12 @@
 import hashlib
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from nonkoszul.formulas import (
     NotApplicableError,
+    _refused_minimum,
     _splits,
     applicability,
     condition_char0,
@@ -101,7 +102,10 @@ def test_ep_main_not_applicable_carries_min_value():
     with pytest.raises(NotApplicableError) as info:
         ep_main(5, (7, 7, 7, 18))
     assert info.value.failing == ("main_thm_condition5",)
-    assert info.value.min_value == 20
+    assert _refused_minimum(5, (7, 7, 7, 18)) == 20
+    # no split minimum without four degrees and every k_i in [1, p - 1]
+    assert _refused_minimum(5, (7, 7, 18)) is None
+    assert _refused_minimum(3, (9, 9, 9, 2)) is None
 
 
 def test_ep_main_char0_tag():
@@ -183,9 +187,17 @@ def test_tsd_formula_values():
 
 
 def test_tsd_matches_socle_oracle():
-    for p, K, a in [(3, (3, 3, 3), 2), (2, (4, 4), 3), (5, (5, 5, 5), 2),
-                    (2, (2, 3, 2), 3)]:
-        assert tsd_formula(p, K, a) == socle_degree_oracle(p, K, a)
+    cases = [(3, (3, 3, 3), 2), (2, (4, 4), 3), (5, (5, 5, 5), 2),
+             (2, (2, 3, 2), 3)]
+    # one, two and four caps, with a prime to p and a divisible by p
+    for p in (2, 3, 5):
+        for a in (1, p + 1, p, 2 * p, 3 * p):
+            caps = [(K,) for K in range(1, 3 * a + 2)]
+            caps += combinations_with_replacement(range(1, a + 4), 2)
+            caps += combinations_with_replacement(range(1, 5), 4)
+            cases += [(p, K, a) for K in caps]
+    for p, K, a in cases:
+        assert tsd_formula(p, K, a) == socle_degree_oracle(p, K, a), (p, K, a)
 
 
 def test_tsd_accepts_explicit_provider():
@@ -196,7 +208,12 @@ def test_tsd_accepts_explicit_provider():
         return e_degree_oracle(3, d, want_witness=False)
 
     assert tsd_formula(3, (3, 3, 3), 2, e_provider=provider) == 3
-    assert calls  # the provider was actually consulted
+    # 3 = 2*1 + 1 allows both roundings of every cap, in product order
+    assert calls == list(product((1, 2), repeat=3))
+    calls.clear()
+    # 4 = 2*2 + 0 cannot round up and 1 = 2*0 + 1 cannot round down
+    assert tsd_formula(3, (4, 1), 2, e_provider=provider) == 1
+    assert calls == [(2, 1)]
 
 
 def test_tsd_rejects_bad_a():
@@ -292,12 +309,14 @@ def test_feasibility_filter(n, p, q, allowed):
     assert wlp_feasibility_filter(n, p, q) is allowed
 
 
-def _outcome(fn, *args):
-    """A closed form's answer, or the flags and value it declined with."""
+def _outcome(fn, p, d):
+    """A closed form's answer, or the flags and the split minimum it declined
+    with (reported only beside a refused `ep_formula`)."""
     try:
-        out = fn(*args)
+        out = fn(p, d)
     except NotApplicableError as exc:
-        return {"failing": list(exc.failing), "min_value": exc.min_value}
+        min_value = _refused_minimum(p, d) if fn is ep_formula else None
+        return {"failing": list(exc.failing), "min_value": min_value}
     return out.to_dict() if hasattr(out, "to_dict") else out
 
 

@@ -16,7 +16,7 @@ ALLOWED = {
     "linalg": {"modp"},
     "oracle": {"linalg", "modp", "monomials"},
     "formulas": {"modp", "monomials", "oracle"},
-    "verify": {"formulas", "monomials", "oracle"},
+    "verify": {"formulas", "modp", "monomials", "oracle"},
     "cli": {"formulas", "oracle", "verify"},
 }
 
