@@ -42,19 +42,14 @@ def condition_char0(d) -> bool:
 
 def e0_formula(d) -> int:
     """Relation degree in characteristic zero, ceil((sum d - n + 1)/2)."""
-    d = check_box(d)
     if not condition_char0(d):
         raise NotApplicableError(("char0_condition",))
     return _char0_value(d)
 
 
-def ep_base(p: int, kappa) -> int:
+def _ep_base(p: int, kappa: tuple[int, ...]) -> int:
     """Base-case value for tuples with every entry in [1, p]:
     max over the entries and min(ceil((sum - n + 1)/2), p)."""
-    check_prime(p)
-    kappa = check_box(kappa)
-    if any(x > p for x in kappa):
-        raise ValueError(f"base formula needs entries <= p = {p}, got {kappa}")
     return max(max(kappa), min(_char0_value(kappa), p))
 
 
@@ -116,7 +111,7 @@ def _splits(k, r):
 
 
 def min_function(p: int, q: int, k, r) -> int:
-    """min over epsilon in {0,1}^(n+1) of q*ep_base(k + epsilon) plus the
+    """min over epsilon in {0,1}^(n+1) of q*_ep_base(k + epsilon) plus the
     remainders at the coordinates where epsilon is 0."""
     check_prime(p)
     k = tuple(int(x) for x in k)
@@ -127,16 +122,17 @@ def min_function(p: int, q: int, k, r) -> int:
         raise ValueError("need k_i >= 1 and 0 <= r_i < q")
     if any(ki + 1 > p for ki in k):
         raise NotApplicableError(("main_thm_k_range",))
-    return min(q * ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
+    # k_i >= 1 and k_i + 1 <= p put every entry of k + epsilon in [1, p]
+    return min(q * _ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
 
 
 def ep_main(p: int, d) -> EResult:
     """Main closed form for n >= 3: the q-split minimum, when the tuple has a
     uniform largest prime power, k in [1, p-1], and the balance condition."""
-    d = check_box(d)
+    rep = applicability(p, d)
+    d = rep.d
     if len(d) < 4:
         raise ValueError("main formula needs at least four degrees")
-    rep = applicability(p, d)
     failing = rep.failing_main_flags()
     if failing:
         raise NotApplicableError(failing)
@@ -204,8 +200,8 @@ def ep_formula(p: int, d) -> EResult:
 
 def ep_dispatch(p: int, d, want_witness: bool = True) -> EResult:
     """Route to the cheapest valid method: the closed form of `ep_formula`
-    where it applies, the rank oracle otherwise."""
-    d = check_box(d)
+    where it applies, the rank oracle otherwise.  Every route checks p and
+    d."""
     try:
         return ep_formula(p, d)
     except NotApplicableError:
@@ -322,16 +318,13 @@ def wlp_criterion(p: int, d) -> bool:
     degree t = floor((s - 1)/2), iff E(d) >= t + 2 = floor((s + 3)/2), which
     is the characteristic-zero value of d.
     """
-    check_prime(p)
-    d = check_box(d)
     return ep_dispatch(p, d, want_witness=False).value >= _char0_value(d)
 
 
 def _scope_report(p: int, d, size: int) -> ApplicabilityReport:
-    d = check_box(d)
-    if len(d) != size:
-        raise ValueError(f"expected {size} degrees, got {len(d)}")
     rep = applicability(p, d)
+    if len(rep.d) != size:
+        raise ValueError(f"expected {size} degrees, got {len(rep.d)}")
     failing = rep.failing_main_flags()
     if failing:
         raise NotApplicableError(failing)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import MatrixFp, kernel_witness, rank
 from .modp import check_prime, multinomial_mod
-from .monomials import check_box, hilbert_function, slice_array, top_degree
+from .monomials import _hilbert_cached, _slice_cached, check_box
 
 
 def _strides(caps: tuple[int, ...]) -> np.ndarray:
@@ -33,7 +33,7 @@ def _strides(caps: tuple[int, ...]) -> np.ndarray:
 def _power_terms(caps: tuple[int, ...], power: int, p: int):
     """Monomials of f^power that survive both mod p and the box, with their
     multinomial coefficients.  Shared across all source degrees of a box."""
-    comps = slice_array(caps, power)
+    comps = _slice_cached(caps, power)
     keep: list[int] = []
     coeffs: list[int] = []
     for idx, row in enumerate(comps):
@@ -49,8 +49,8 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
     """Matrix of multiplication by sum(coeff * x^comp), every comp of total
     degree `degree`, from the degree src_degree slice of the box to the degree
     src_degree + degree slice.  Terms that leave the box contribute nothing."""
-    src = slice_array(caps, src_degree)
-    tgt = slice_array(caps, src_degree + degree)
+    src = _slice_cached(caps, src_degree)
+    tgt = _slice_cached(caps, src_degree + degree)
     mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
     if len(src) and len(tgt):
         caps_arr = np.array(caps, dtype=np.int64)
@@ -92,7 +92,7 @@ class KernelWitness:
 
     def terms(self) -> list[str]:
         """Nonzero terms as strings like '2*x1^3*x2', in basis order."""
-        basis = slice_array(self.box, self.degree)
+        basis = _slice_cached(self.box, self.degree)
         out = []
         for coeff, expo in zip(self.coefficients, basis):
             if coeff == 0:
@@ -127,7 +127,7 @@ def _degenerate(d: tuple[int, ...]) -> bool:
     return d[-1] > sum(x - 1 for x in d[:-1])
 
 
-def _dimension_bound(H: list[int], t: int) -> int:
+def _dimension_bound(H: tuple[int, ...], t: int) -> int:
     """Least source degree i where a map of degree t on a box with Hilbert
     function H must have a kernel: H[i] > H[i + t], with H zero past its top
     degree len(H) - 1.  At most that top degree, where H is 1."""
@@ -156,7 +156,7 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
         # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
     caps, power = d[:-1], d[-1]
-    H = hilbert_function(caps)
+    H = _hilbert_cached(caps)
     i = _dimension_bound(H, power)
     while i > 0 and rank(mult_map(caps, i - 1, power, p)) < H[i - 1]:
         i -= 1
@@ -202,8 +202,8 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
     """
     caps = check_box(d)
     check_prime(p)
-    H = hilbert_function(caps)
-    top = top_degree(caps)
+    H = _hilbert_cached(caps)
+    top = len(H) - 1
     records = []
     ok = True
     for i in range(top):
@@ -236,8 +236,8 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     a = int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")
-    H = hilbert_function(caps)
-    top = top_degree(caps)
+    H = _hilbert_cached(caps)
+    top = len(H) - 1
     # x_1^a + ... + x_m^a: one unit-coefficient shift per variable
     comps = a * np.eye(len(caps), dtype=np.int64)
     coeffs = (1,) * len(caps)
@@ -251,15 +251,3 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
             hi = mid
     return lo
 
-
-def nu_value(p: int, e: int, a: int, n: int) -> int:
-    """Top degree of the diagonal-form quotient with all n+1 caps equal to p^e."""
-    check_prime(p)
-    if e < 0:
-        raise ValueError("exponent e must be nonnegative")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if a < 1 or a % p == 0:
-        raise ValueError("a must be positive and prime to p")
-    q = p ** e
-    return socle_degree_oracle(p, (q,) * (n + 1), a)

@@ -15,14 +15,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from .formulas import (NotApplicableError, _char0_value, _splits,
-                       applicability, condition_char0, e0_formula,
-                       ep_formula, fthreshold_formula, frac_str, tsd_formula,
+                       applicability, condition_char0, ep_formula,
+                       fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
 from .modp import check_prime
-from .monomials import hilbert_function
-from .oracle import (e_degree_oracle, nu_value, socle_degree_oracle,
-                     wlp_rank_profile)
+from .monomials import _hilbert_cached
+from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
 
 
 def canonical_json(doc) -> str:
@@ -100,6 +99,13 @@ class GridSpec:
                 check_prime(p)
             except ValueError as exc:
                 raise ValueError(f"grid field 'p_list': {exc}") from None
+        # a bound below 1 enumerates no point, so the grid would check nothing
+        bounds = {"e": ("sum_max", "d_max"), "tsd": ("K_max", "a_max")}
+        for key in bounds.get(spec.kind, ()):
+            value = getattr(spec, key)
+            if value is not None and value < 1:
+                raise ValueError(f"grid field {key!r} must be at least 1, "
+                                 f"got {value}")
         return spec
 
     def to_dict(self) -> dict:
@@ -137,8 +143,8 @@ class _OracleCache:
         return v
 
 
-def _box_feasible(d, cap: int) -> bool:
-    return max(hilbert_function(d)) <= cap
+def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
+    return max(_hilbert_cached(d)) <= cap
 
 
 def _point_key(rec: dict) -> tuple:
@@ -213,7 +219,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 # ceiling by the characteristic-zero value
                 if condition_char0(d):
                     checks["char0_ceiling"] += 1
-                    e0 = e0_formula(d)
+                    e0 = _char0_value(d)
                     if oracle_value > e0:
                         discrepancies.append({"check": "char0_ceiling", "p": p,
                                               "d": list(d),
@@ -300,7 +306,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                     continue
                 buckets["obs_equivalence"] += 1
                 profile = wlp_rank_profile(p, d).verdict
-                by_degree = cache.value(p, d) == e0_formula(d)
+                by_degree = cache.value(p, d) == _char0_value(d)
                 if profile != by_degree:
                     discrepancies.append({"check": "wlp_equivalence", "p": p,
                                           "d": list(d), "profile": profile,
@@ -417,12 +423,12 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
         if q % a != 1 % a:
             outside += 1
             continue
-        peak = max(hilbert_function((q,) * (n + 1)))
+        peak = max(_hilbert_cached((q,) * (n + 1)))
         if peak > matrix_cap:
             skipped.append({"e": e, "q": q, "reason": "matrix_cap",
                             "peak_dimension": peak})
             continue
-        nu = nu_value(p, e, a, n)
+        nu = socle_degree_oracle(p, (q,) * (n + 1), a)
         ratio = Fraction(nu, q)
         dev = result.c - ratio
         bound = Fraction(5 * (n + 2), q)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nonkoszul
+from nonkoszul import cli
 from nonkoszul.monomials import slice_array
 from nonkoszul.oracle import mult_map
 from nonkoszul.verify import canonical_json
@@ -208,12 +209,65 @@ def test_verify_bad_grid_exits_1(tmp_path):
             proc = run_cli("verify", "--grid", str(grid), expect=1)
             assert proc.stderr.startswith("error: ")
             assert "p_list" in proc.stderr and "Traceback" not in proc.stderr
+    # bounds that enumerate no point are refused, not silently checked
+    for field, doc in (
+            ("K_max", {"kind": "tsd", "p_list": [2], "n_list": [2],
+                       "K_max": 0, "a_max": 2}),
+            ("a_max", {"kind": "tsd", "p_list": [2], "n_list": [2],
+                       "K_max": 3, "a_max": -1}),
+            ("sum_max", {"kind": "e", "p_list": [2], "n_list": [2],
+                         "sum_max": -3})):
+        grid.write_text(json.dumps(doc))
+        proc = run_cli("verify", "--grid", str(grid), expect=1)
+        assert proc.stderr.startswith("error: ") and field in proc.stderr
+        assert "Traceback" not in proc.stderr
     # a grid file must hold a JSON object
     for text in ('["kind"]', "5", "null"):
         grid.write_text(text)
         proc = run_cli("verify", "--grid", str(grid), expect=1)
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+COMPOSITE = "error: modulus 4 is not prime"
+ZERO_ENTRY = "error: exponents must be positive, got ({})"
+A_ZERO = "error: exponent a must be positive"
+A_DIVISIBLE = "error: a must be prime to p, got a=6, p=3"
+N_ZERO = "error: need n >= 1"
+SINGLE_FAULTS = [
+    *[(["e", "--p", "4", "--d", d, "--method", method], COMPOSITE)
+      for method in ("auto", "formula", "oracle")
+      for d in ("2,2", "2,2,2", "2,2,2,2")],
+    *[(["e", "--p", "5", "--d", d, "--method", method],
+       ZERO_ENTRY.format(d.replace(",", ", ")))
+      for method in ("auto", "formula", "oracle")
+      for d in ("0,2", "2,0,2", "2,2,0,2")],
+    (["tsd", "--p", "4", "--K", "3,3", "--a", "2"], COMPOSITE),
+    (["tsd", "--p", "4", "--K", "3,3", "--a", "2", "--check"], COMPOSITE),
+    (["tsd", "--p", "5", "--K", "3,0", "--a", "2"], ZERO_ENTRY.format("3, 0")),
+    (["tsd", "--p", "5", "--K", "3,0", "--a", "2", "--check"],
+     ZERO_ENTRY.format("3, 0")),
+    (["tsd", "--p", "5", "--K", "3,3", "--a", "0"], A_ZERO),
+    (["tsd", "--p", "5", "--K", "3,3", "--a", "0", "--check"], A_ZERO),
+    (["wlp", "--p", "4", "--d", "2,2,2"], COMPOSITE),
+    (["wlp", "--p", "5", "--d", "2,0,2"], ZERO_ENTRY.format("2, 0, 2")),
+    *[(["fthreshold", *args, *converge], line)
+      for converge in ([], ["--converge", "2"])
+      for args, line in ((["--p", "4", "--a", "3", "--n", "2"], COMPOSITE),
+                         (["--p", "5", "--a", "0", "--n", "2"], A_ZERO),
+                         (["--p", "3", "--a", "6", "--n", "2"], A_DIVISIBLE),
+                         (["--p", "3", "--a", "2", "--n", "0"], N_ZERO))],
+    (["table", "--p", "4", "--n", "2", "--sum-max", "5"], COMPOSITE),
+    (["table", "--p", "3", "--n", "0", "--sum-max", "5"], N_ZERO),
+]
+
+
+@pytest.mark.parametrize("args, line", SINGLE_FAULTS,
+                         ids=[" ".join(args) for args, _ in SINGLE_FAULTS])
+def test_single_fault_error_line(args, line, capsys):
+    # one bad input, one check, one message, wherever the input enters
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_table_csv():

@@ -4,14 +4,15 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from nonkoszul import formulas
 from nonkoszul.formulas import (
     NotApplicableError,
+    _ep_base,
     _refused_minimum,
     _splits,
     applicability,
     condition_char0,
     e0_formula,
-    ep_base,
     ep_dispatch,
     ep_formula,
     ep_han,
@@ -45,17 +46,29 @@ def test_e0_values():
 
 def test_ep_base_values():
     # all residues 1: the ceiling term caps at p
-    assert ep_base(3, (2, 2, 2, 2, 2)) == 3
-    assert ep_base(5, (1, 1, 2, 2)) == 2
+    assert _ep_base(3, (2, 2, 2, 2, 2)) == 3
+    assert _ep_base(5, (1, 1, 2, 2)) == 2
     # a single dominant entry wins the max
-    assert ep_base(5, (1, 1, 1, 3)) == 3
+    assert _ep_base(5, (1, 1, 1, 3)) == 3
 
 
 def test_min_function_worked_cases():
     assert min_function(5, 5, (1, 1, 2, 2), (1, 2, 1, 2)) == 16
     assert min_function(5, 5, (1, 1, 1, 3), (2, 2, 2, 3)) == 20
     # all remainders zero: epsilon = 0 dominates and the value is q * base
-    assert min_function(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * ep_base(3, (1, 1, 1, 1))
+    assert min_function(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * _ep_base(3, (1, 1, 1, 1))
+
+
+def test_min_function_checks_its_prime_once(monkeypatch):
+    # the split terms go to the unchecked _ep_base, not through the checks
+    calls = {"check_prime": 0, "check_box": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(formulas, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(formulas, name, counting)
+    assert min_function(3, 3, (1,) * 5, (0,) * 5) == 3 * _ep_base(3, (1,) * 5)
+    assert calls == {"check_prime": 1, "check_box": 0}
 
 
 def test_splits_enumerate_in_product_order():

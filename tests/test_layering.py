@@ -52,6 +52,17 @@ def test_module_imports_only_lower_layers(module):
     assert imported <= ALLOWED[module], imported - ALLOWED[module]
 
 
+def test_exports_are_the_imported_names():
+    # a deleted or renamed function cannot stay listed in __all__
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(nonkoszul.__all__) == imported
+    assert len(nonkoszul.__all__) == len(imported)
+    for name in nonkoszul.__all__:
+        assert getattr(nonkoszul, name) is not None
+
+
 def test_import_parser_sees_every_form(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("from .oracle import mult_map\n"

@@ -5,17 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonkoszul import oracle
+from nonkoszul import monomials, oracle
 from nonkoszul.linalg import matrix_from_rows, rank
 from nonkoszul.monomials import hilbert_function, slice_array, top_degree
 from nonkoszul.oracle import (
     e_degree_oracle,
     mult_map,
-    nu_value,
     socle_degree_oracle,
     wlp_rank_profile,
 )
-from nonkoszul.verify import canonical_json
+from nonkoszul.verify import canonical_json, fthreshold_convergence
 
 
 def brute_mult_map(caps, src_degree, power, p):
@@ -344,18 +343,36 @@ def test_socle_search_starts_at_dimension_bound(monkeypatch):
     assert len(calls) == 1
 
 
+def test_socle_oracle_checks_its_caps_once(monkeypatch):
+    # the Hilbert function and the slices come from the unchecked cached
+    # helpers, so only the entry point checks the caps
+    calls = []
+    check_box = monomials.check_box
+
+    def counting_check_box(caps):
+        calls.append(tuple(caps))
+        return check_box(caps)
+
+    monkeypatch.setattr(oracle, "check_box", counting_check_box)
+    monkeypatch.setattr(monomials, "check_box", counting_check_box)
+    socle_degree_oracle(3, (5, 6, 7), 2)
+    assert calls == [(5, 6, 7)]
+
+
 def test_nu_values():
     # closed form for a=1: every variable to the q, so the socle sits at
     # (n+1)(q-1) - q + 1
     for p, e, n in [(2, 0, 1), (2, 2, 2), (3, 1, 3), (5, 1, 2)]:
         q = p ** e
-        assert nu_value(p, e, 1, n) == (n + 1) * (q - 1) - q + 1
-    assert nu_value(3, 0, 2, 2) == 0
-    assert nu_value(3, 1, 2, 2) == 3
-    assert nu_value(3, 2, 2, 2) == 12
-    assert nu_value(5, 1, 2, 2) == 6
+        assert socle_degree_oracle(p, (q,) * (n + 1), 1) == \
+            (n + 1) * (q - 1) - q + 1
+    assert socle_degree_oracle(3, (1, 1, 1), 2) == 0
+    assert socle_degree_oracle(3, (3, 3, 3), 2) == 3
+    assert socle_degree_oracle(3, (9, 9, 9), 2) == 12
+    assert socle_degree_oracle(5, (5, 5, 5), 2) == 6
 
 
 def test_nu_rejects_divisible_a():
+    # nu(q) is read through fthreshold_convergence, which checks a first
     with pytest.raises(ValueError):
-        nu_value(3, 2, 6, 2)
+        fthreshold_convergence(3, 6, 2, 2)
