@@ -14,8 +14,8 @@ import sys
 from .formulas import (NotApplicableError, _refused_minimum, ep_dispatch,
                        ep_formula, fthreshold_formula, tsd_formula)
 from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
-from .verify import (MATRIX_CAP, _simplex, canonical_json, discrepancies_csv,
-                     fthreshold_convergence, run_grid)
+from .verify import (MATRIX_CAP, _box_feasible, _simplex, canonical_json,
+                     discrepancies_csv, fthreshold_convergence, run_grid)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +121,18 @@ def _format_e_plain(doc: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+def _refuse_oversized(box: tuple[int, ...]) -> None:
+    """Refuse, before any matrix is built, a box whose largest graded piece
+    exceeds MATRIX_CAP: the rank oracles build dense matrices on it.  A box
+    with an entry below 1 passes on to the oracle's own check."""
+    if min(box, default=1) >= 1 and not _box_feasible(box, MATRIX_CAP):
+        raise ValueError(f"box {box} has a graded piece larger than "
+                         f"{MATRIX_CAP}, the dense-matrix cap")
+
+
 def _cmd_e(args) -> tuple[str, int]:
+    if args.method == "oracle":
+        _refuse_oversized(args.d[:-1])
     route = {"oracle": e_degree_oracle, "formula": ep_formula,
              "auto": ep_dispatch}[args.method]
     doc = {"p": args.p, "d": list(args.d)}
@@ -140,6 +151,7 @@ def _cmd_e(args) -> tuple[str, int]:
 
 
 def _cmd_wlp(args) -> tuple[str, int]:
+    _refuse_oversized(args.d)
     report = wlp_rank_profile(args.p, args.d)
     if args.format == "plain":
         lines = [f"WLP for d=({','.join(map(str, args.d))}) mod {args.p}: "
@@ -153,6 +165,8 @@ def _cmd_wlp(args) -> tuple[str, int]:
 
 
 def _cmd_tsd(args) -> tuple[str, int]:
+    if args.check:
+        _refuse_oversized(args.K)
     value = tsd_formula(args.p, args.K, args.a)
     doc = {"p": args.p, "K": list(args.K), "a": args.a, "value": value}
     if args.check:

@@ -10,8 +10,10 @@ updating only the live rows keeps them sparse; on them this beats panelled
 float64 elimination with BLAS products.  BLAS would win on unstructured dense
 random matrices, which no oracle builds.
 
-`rank` counts the pivots; `kernel_witness` back-substitutes on the same
-echelon form, reducing each product mod p before summing.
+`rank` counts the pivots.  `kernel_witness` back-substitutes on the same
+echelon form, reducing each product mod p before summing, and returns the
+pivot count of that one elimination as the rank: a caller that wants both
+the rank and a witness of one matrix eliminates it once.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ def rank(mat: MatrixFp) -> int:
     return len(_echelon(mat.data.copy(), mat.p))
 
 
-def kernel_witness(mat: MatrixFp) -> tuple[int, ...] | None:
-    """One nonzero kernel vector, or None if the matrix is injective.
+def kernel_witness(mat: MatrixFp) -> tuple[int, tuple[int, ...] | None]:
+    """Rank and one nonzero kernel vector (None if the matrix is injective),
+    both from a single elimination.
 
     Deterministic choice: eliminate to echelon form, set the last non-pivot
     column to 1 and every other free column to 0, then back-substitute.
@@ -103,11 +106,11 @@ def kernel_witness(mat: MatrixFp) -> tuple[int, ...] | None:
     pivot_cols = set(pivots)
     free = [c for c in range(mat.cols) if c not in pivot_cols]
     if not free:
-        return None
+        return len(pivots), None
     v = np.zeros(mat.cols, dtype=np.int64)
     v[free[-1]] = 1
     for row, c in reversed(list(enumerate(pivots))):
         # each product is reduced below p first, so the sum fits in int64
         s = int((a[row, c + 1:] * v[c + 1:] % p).sum())
         v[c] = (-s) % p
-    return tuple(int(x) for x in v)
+    return len(pivots), tuple(int(x) for x in v)

@@ -48,11 +48,8 @@ def _small_binomial_mod(n: int, k: int, p: int) -> int:
     return num * pow(den, -1, p) % p if k else 1
 
 
-def binomial_mod(nn: int, kk: int, p: int) -> int:
-    """C(nn, kk) mod p, digit by digit in base p (no large factorials)."""
-    check_prime(p)
-    if nn < 0 or kk < 0:
-        raise ValueError("binomial_mod expects nonnegative arguments")
+def _binomial_mod(nn: int, kk: int, p: int) -> int:
+    # Lucas: a product of digit binomials; p prime and nn, kk >= 0 unchecked
     if kk > nn:
         return 0
     result = 1
@@ -65,6 +62,25 @@ def binomial_mod(nn: int, kk: int, p: int) -> int:
     return result
 
 
+def _multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
+    # p prime, parts nonnegative and summing to total, all unchecked
+    result = 1
+    for part in parts:
+        result = result * _binomial_mod(total, part, p) % p
+        if result == 0:
+            return 0
+        total -= part
+    return result
+
+
+def binomial_mod(nn: int, kk: int, p: int) -> int:
+    """C(nn, kk) mod p, digit by digit in base p (no large factorials)."""
+    check_prime(p)
+    if nn < 0 or kk < 0:
+        raise ValueError("binomial_mod expects nonnegative arguments")
+    return _binomial_mod(nn, kk, p)
+
+
 def multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
     """total! / prod(parts!) mod p, as a product of digit-wise binomials."""
     check_prime(p)
@@ -73,14 +89,7 @@ def multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
         raise ValueError("multinomial_mod expects nonnegative arguments")
     if sum(parts) != total:
         raise ValueError(f"parts {parts} do not sum to {total}")
-    result = 1
-    remaining = total
-    for part in parts:
-        result = result * binomial_mod(remaining, part, p) % p
-        if result == 0:
-            return 0
-        remaining -= part
-    return result
+    return _multinomial_mod(total, parts, p)
 
 
 def largest_power_leq(p: int, x: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import MatrixFp, kernel_witness, rank
-from .modp import check_prime, multinomial_mod
+from .modp import _multinomial_mod, check_prime
 from .monomials import _hilbert_cached, _slice_cached, check_box
 
 
@@ -37,7 +37,7 @@ def _power_terms(caps: tuple[int, ...], power: int, p: int):
     keep: list[int] = []
     coeffs: list[int] = []
     for idx, row in enumerate(comps):
-        c = multinomial_mod(power, tuple(int(x) for x in row), p)
+        c = _multinomial_mod(power, [int(x) for x in row], p)
         if c:
             keep.append(idx)
             coeffs.append(c)
@@ -48,7 +48,17 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
                   comps, coeffs, p: int) -> MatrixFp:
     """Matrix of multiplication by sum(coeff * x^comp), every comp of total
     degree `degree`, from the degree src_degree slice of the box to the degree
-    src_degree + degree slice.  Terms that leave the box contribute nothing."""
+    src_degree + degree slice.  Terms that leave the box contribute nothing.
+
+    Term k times source monomial s stays in the box when it does in every
+    variable; one boolean mask over (term, source), one comparison per
+    variable, marks those pairs, and one scatter writes them.  Distinct
+    terms send a source to distinct targets, so no entry is written twice.
+    The mask holds terms x sources bytes.  The terms are at most the degree
+    `degree` slice, so the mask is smaller than the int64 matrix whenever
+    that slice has fewer than 8 x the target slice's monomials, and never
+    above the square of the box's largest graded piece.
+    """
     src = _slice_cached(caps, src_degree)
     tgt = _slice_cached(caps, src_degree + degree)
     mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
@@ -57,13 +67,14 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
         strides = _strides(caps)
         code_to_row = np.full(int(np.prod(caps_arr)), -1, dtype=np.int64)
         code_to_row[tgt @ strides] = np.arange(len(tgt), dtype=np.int64)
-        src_codes = src @ strides
-        # room[i, k]: how far source monomial k may grow in variable i
-        room = np.ascontiguousarray((caps_arr - src).T)
-        for comp, coeff in zip(comps, coeffs):
-            ok = np.nonzero((room > comp[:, None]).all(axis=0))[0]
-            if ok.size:
-                mat[code_to_row[src_codes[ok] + comp @ strides], ok] = coeff
+        # room[s, i]: how far source monomial s may grow in variable i
+        room = caps_arr - src
+        fits = comps[:, :1] < room[:, 0]
+        for i in range(1, len(caps)):
+            fits &= comps[:, i:i + 1] < room[:, i]
+        term, col = np.nonzero(fits)
+        rows = code_to_row[(src @ strides)[col] + (comps @ strides)[term]]
+        mat[rows, col] = np.array(coeffs, dtype=np.int64)[term]
     return MatrixFp(mat, p)
 
 
@@ -147,8 +158,24 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     scan runs down from source degree U - 1, one rank per degree, while the
     map has a kernel.  With i the lowest source degree found to have a
     kernel (0 if all do, as source degree -1 is empty), the answer is
-    d_last + i.  The witness (when requested) comes from one exact
-    elimination on the map from source degree i.
+    d_last + i.  The witness (when requested) is the canonical kernel vector
+    of the map from source degree i (`linalg.kernel_witness`).
+
+    Duality.  Write M_j for the map from source degree j and c for the caps.
+    The complement x^a -> x^{c-1-a} sends the degree j basis onto the degree
+    top - j basis and reverses the descending lex order.  The entry of M_j
+    at (target x^b, source x^a) is the coefficient of x^{b-a} in f^power;
+    the entry of M_{top-power-j} at (x^{c-1-a}, x^{c-1-b}) is the
+    coefficient of the same monomial.  So M_{top-power-j} is M_j transposed
+    with its rows and columns reversed (the Gorenstein pairing
+    A_j x A_{top-j} -> A_top makes the two maps adjoint), and both have one
+    rank.  Each rank found is therefore recorded for the dual degree too,
+    and no dual is eliminated again.  When 2U = top - power + 1, M_{U-1} is
+    the dual of M_U: with a witness wanted, one elimination of M_U gives the
+    rank that decides U - 1 and the witness for an answer of d_last + U.  A
+    scan step that finds a kernel keeps its witness as well, so the witness
+    costs a further elimination only at a degree whose rank came from its
+    dual (U - 1 in that case).
     """
     check_prime(p)
     d = check_box(d)
@@ -157,13 +184,32 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
     caps, power = d[:-1], d[-1]
     H = _hilbert_cached(caps)
+    mirror = len(H) - 1 - power      # M_j and M_{mirror - j} share a rank
+    ranks: dict[int, int] = {}
+    witnesses: dict[int, tuple[int, ...] | None] = {}
+
+    def eliminate(j: int) -> None:
+        mat = mult_map(caps, j, power, p)
+        if want_witness:
+            r, witnesses[j] = kernel_witness(mat)
+        else:
+            r = rank(mat)
+        ranks[j] = ranks[mirror - j] = r
+
     i = _dimension_bound(H, power)
-    while i > 0 and rank(mult_map(caps, i - 1, power, p)) < H[i - 1]:
+    if want_witness and 2 * i == mirror + 1:
+        eliminate(i)
+    while i > 0:
+        if i - 1 not in ranks:
+            eliminate(i - 1)
+        if ranks[i - 1] == H[i - 1]:
+            break
         i -= 1
     wit = None
     if want_witness:
-        vec = kernel_witness(mult_map(caps, i, power, p))
-        wit = KernelWitness(box=caps, degree=i, coefficients=vec)
+        if i not in witnesses:
+            eliminate(i)
+        wit = KernelWitness(box=caps, degree=i, coefficients=witnesses[i])
     return EResult(value=power + i, method="oracle",
                    degenerate=_degenerate(d), witness=wit)
 
@@ -199,19 +245,26 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
 
     The verdict is True when every map has maximal rank, i.e. the quotient has
     the weak Lefschetz property in characteristic p.
+
+    Only degrees i <= top - 1 - i are ranked.  The complement
+    x^a -> x^{c-1-a} on the caps c sends the degree j basis onto the degree
+    top - j basis in reverse order, and x x_k sends x^a to x^{a+e_k} exactly
+    when it sends x^{c-1-a-e_k} to x^{c-1-a}.  So the map from degree
+    top - 1 - i is the map from degree i transposed with its rows and columns
+    reversed (the two are adjoint under the Gorenstein pairing
+    A_j x A_{top-j} -> A_top), and the two ranks are equal.
     """
     caps = check_box(d)
     check_prime(p)
     H = _hilbert_cached(caps)
     top = len(H) - 1
-    records = []
-    ok = True
-    for i in range(top):
-        r = rank(mult_map(caps, i, 1, p))
-        rec = WlpRecord(degree=i, dim_source=H[i], dim_target=H[i + 1], rank=r)
-        ok = ok and rec.maximal
-        records.append(rec)
-    return WlpReport(p=p, box=caps, records=tuple(records), verdict=ok)
+    ranks = [0] * top
+    for i in range((top + 1) // 2):
+        ranks[i] = ranks[top - 1 - i] = rank(mult_map(caps, i, 1, p))
+    records = tuple(WlpRecord(degree=i, dim_source=H[i], dim_target=H[i + 1],
+                              rank=r) for i, r in enumerate(ranks))
+    return WlpReport(p=p, box=caps, records=records,
+                     verdict=all(rec.maximal for rec in records))
 
 
 def socle_degree_oracle(p: int, K, a: int) -> int:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import nonkoszul
-from nonkoszul import cli
+from nonkoszul import cli, oracle
 from nonkoszul.monomials import slice_array
 from nonkoszul.oracle import mult_map
-from nonkoszul.verify import canonical_json
+from nonkoszul.verify import MATRIX_CAP, canonical_json
 
 CMD = [sys.executable, "-m", "nonkoszul.cli"]
 # the child interpreter imports the same package the tests import
@@ -268,6 +268,40 @@ def test_single_fault_error_line(args, line, capsys):
     # one bad input, one check, one message, wherever the input enters
     assert cli.main(args) == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("args, box", [
+    (["wlp", "--p", "3", "--d", "30,30,30,30"], "30, 30, 30, 30"),
+    (["wlp", "--p", "3", "--d", "30,1,30,30,30"], "30, 1, 30, 30, 30"),
+    (["e", "--p", "3", "--d", "30,30,30,30,5", "--method", "oracle"],
+     "30, 30, 30, 30"),
+    (["tsd", "--p", "3", "--K", "30,30,30,30", "--a", "2", "--check"],
+     "30, 30, 30, 30"),
+])
+def test_dense_routes_refuse_oversized_boxes(args, box, capsys, monkeypatch):
+    # (30, 30, 30, 30) has a graded piece of 18,010 monomials, above the
+    # cap, and a cap of 1 adds no monomial: refused with exit 1 before any
+    # matrix is built
+    def no_matrix(*_):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(oracle, "mult_map", no_matrix)
+    monkeypatch.setattr(oracle, "_shift_matrix", no_matrix)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: box ({box}) has a graded piece larger than {MATRIX_CAP}, "
+        "the dense-matrix cap\n")
+
+
+def test_dense_route_cap_is_inclusive(capsys, monkeypatch):
+    # (3, 3, 3) peaks at 7 monomials: a cap of 7 admits it, 6 refuses it
+    args = ["wlp", "--p", "3", "--d", "3,3,3"]
+    monkeypatch.setattr(cli, "MATRIX_CAP", 7)
+    assert cli.main(args) == 0
+    assert len(json.loads(capsys.readouterr().out)["profile"]) == 6
+    monkeypatch.setattr(cli, "MATRIX_CAP", 6)
+    assert cli.main(args) == 1
+    assert "larger than 6" in capsys.readouterr().err
 
 
 def test_table_csv():

@@ -86,7 +86,7 @@ def test_rank_zero_and_empty():
     assert rank(matrix_from_rows([[0, 0], [0, 0]], 3)) == 0
     empty = MatrixFp(np.zeros((0, 4), dtype=np.int64), 3)
     assert rank(empty) == 0
-    assert kernel_witness(empty) == (0, 0, 0, 1)
+    assert kernel_witness(empty) == (0, (0, 0, 0, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,8 +121,9 @@ def test_kernel_witness_at_large_prime():
                                    (20, 30, 15), (30, 20, 20)]]
     mats += [mult_map((3, 3, 3, 3), deg, 3, P31) for deg in range(9)]
     for m in mats:
-        v = kernel_witness(m)
-        if rank(m) == m.cols:
+        r, v = kernel_witness(m)
+        assert r == rank(m)
+        if r == m.cols:
             assert v is None
         else:
             assert_kernel_vector(m, v)
@@ -130,7 +131,7 @@ def test_kernel_witness_at_large_prime():
 
 def test_kernel_witness_none_for_full_column_rank():
     m = matrix_from_rows([[1, 0], [0, 1], [1, 1]], 3)
-    assert kernel_witness(m) is None
+    assert kernel_witness(m) == (2, None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,8 +140,10 @@ def test_kernel_witness_none_for_full_column_rank():
 def test_kernel_witness_is_a_kernel_vector(rows, cols, p, seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, rows, cols, p)
-    v = kernel_witness(m)
-    if m.cols - rank(m) == 0:
+    r, v = kernel_witness(m)
+    # the rank comes from the witness's own elimination
+    assert r == rank(m) == rank_by_rref_over_rationals(m.data, p)
+    if m.cols - r == 0:
         assert v is None
     else:
         assert_kernel_vector(m, v)
@@ -150,4 +153,6 @@ def test_kernel_witness_on_wide_blocked_sizes():
     rng = np.random.default_rng(99)
     for p in (2, 5):
         m = random_matrix(rng, 150, 300, p, target_rank=140)
-        assert_kernel_vector(m, kernel_witness(m))
+        r, v = kernel_witness(m)
+        assert r == rank(m)
+        assert_kernel_vector(m, v)

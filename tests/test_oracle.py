@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonkoszul import monomials, oracle
+from nonkoszul import linalg, modp, monomials, oracle
 from nonkoszul.linalg import matrix_from_rows, rank
 from nonkoszul.monomials import hilbert_function, slice_array, top_degree
 from nonkoszul.oracle import (
@@ -47,6 +47,9 @@ def brute_mult_map(caps, src_degree, power, p):
     ((3, 4, 2), 2, 3, 3),
     ((5, 5), 0, 4, 5),
     ((2, 2, 2, 2), 1, 2, 3),
+    ((1, 4, 3, 2), 2, 3, 2),
+    ((6,), 1, 3, 7),
+    ((3, 2, 4), 3, 0, 5),
 ])
 def test_mult_map_matches_brute_force(caps, deg, power, p):
     got = mult_map(caps, deg, power, p)
@@ -181,22 +184,88 @@ def test_kernel_degrees_form_an_up_set():
     assert e_degree_oracle(2, (4, 4, 4, 4)).value == 4
 
 
-@pytest.mark.parametrize("p,d,ranks", [
-    # one rank at U - 1 proves E = U
+def count_eliminations(monkeypatch):
+    """Every elimination in `linalg`, by rank or by kernel witness."""
+    calls = []
+    echelon = linalg._echelon
+
+    def counting_echelon(a, p):
+        calls.append(a.shape)
+        return echelon(a, p)
+
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    return calls
+
+
+@pytest.mark.parametrize("p,d,eliminations", [
+    # U = 8 is the centre: the map from 8 decides 7, its dual, and gives
+    # the witness
     (8191, (5, 5, 5, 5, 5, 5), 1),
-    # kernels at 6, 5 and 4, then source degree -1 needs no rank
+    # the map from 3 stands in for its dual from 2; kernels at 1 and 0, and
+    # the witness at 0 comes from the scan's own elimination
     (2, (4, 4, 4, 4), 3),
 ])
-def test_scan_rank_count(monkeypatch, p, d, ranks):
-    calls = []
-
-    def counting_rank(mat):
-        calls.append(mat.cols)
-        return rank(mat)
-
-    monkeypatch.setattr(oracle, "rank", counting_rank)
+def test_scan_rank_count(monkeypatch, p, d, eliminations):
+    calls = count_eliminations(monkeypatch)
     e_degree_oracle(p, d)
-    assert len(calls) == ranks
+    assert len(calls) == eliminations
+
+
+def test_scan_never_eliminates_a_dual_twice(monkeypatch):
+    # every map the oracle eliminates is distinct, and none is the reversed
+    # transpose of another it eliminated, with or without a witness
+    calls = []
+    real = oracle.mult_map
+
+    def recording_mult_map(caps, src_degree, power, p):
+        calls.append(src_degree)
+        return real(caps, src_degree, power, p)
+
+    monkeypatch.setattr(oracle, "mult_map", recording_mult_map)
+    for p in (2, 3, 5):
+        for caps in itertools.combinations_with_replacement(range(1, 6), 3):
+            mirror = top_degree(caps) - 2
+            for want in (False, True):
+                calls.clear()
+                res = e_degree_oracle(p, caps + (2,), want_witness=want)
+                assert len(set(calls)) == len(calls), (p, caps, want, calls)
+                keys = [min(j, mirror - j) for j in calls]
+                distinct = len(set(keys))
+                if want and keys[-1] in keys[:-1]:
+                    # only a witness at a degree whose rank came from its
+                    # dual, eliminated higher up in the scan
+                    assert calls[-1] == res.witness.degree < mirror - calls[-1]
+                    distinct += 1
+                assert distinct == len(calls), (p, caps, want, calls)
+
+
+def test_wlp_profile_ranks_half_the_degrees(monkeypatch):
+    # (4, 4, 4, 4) has top 12: degrees 0..5 are ranked, 6..11 mirrored
+    calls = count_eliminations(monkeypatch)
+    report = wlp_rank_profile(3, (4, 4, 4, 4))
+    assert len(calls) == 6
+    assert len(report.records) == 12
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_multiplication_maps_are_dual(p):
+    # x f^t from degree top - j - t is x f^t from degree j transposed, rows
+    # and columns reversed; the same holds for the diagonal form
+    # x_1^t + ... + x_m^t that socle_degree_oracle builds
+    for caps in [(2, 3), (3, 3, 2), (4, 1, 3), (2, 2, 2, 2), (5, 3, 4),
+                 (3, 2, 3, 2, 2)]:
+        top = top_degree(caps)
+        ones = (1,) * len(caps)
+        for t in range(top + 2):
+            comps = t * np.eye(len(caps), dtype=np.int64)
+            for j in range(-1, top + 2):
+                dual = mult_map(caps, top - j - t, t, p).data
+                assert np.array_equal(
+                    dual, mult_map(caps, j, t, p).data.T[::-1, ::-1])
+                dual = oracle._shift_matrix(caps, top - j - t, t, comps,
+                                            ones, p).data
+                assert np.array_equal(dual, oracle._shift_matrix(
+                    caps, j, t, comps, ones, p).data.T[::-1, ::-1])
 
 
 def test_oracle_outputs_are_pinned():
@@ -357,6 +426,23 @@ def test_socle_oracle_checks_its_caps_once(monkeypatch):
     monkeypatch.setattr(monomials, "check_box", counting_check_box)
     socle_degree_oracle(3, (5, 6, 7), 2)
     assert calls == [(5, 6, 7)]
+
+
+def test_mult_map_checks_its_prime_once(monkeypatch):
+    # the multinomial coefficients of f^power come from the unchecked modp
+    # helper, so in oracle and modp only mult_map's own check runs
+    calls = []
+    check_prime = modp.check_prime
+
+    def counting_check_prime(p):
+        calls.append(p)
+        return check_prime(p)
+
+    monkeypatch.setattr(oracle, "check_prime", counting_check_prime)
+    monkeypatch.setattr(modp, "check_prime", counting_check_prime)
+    oracle._power_terms.cache_clear()
+    mult_map((3, 4, 5), 2, 5, 11)
+    assert calls == [11]
 
 
 def test_nu_values():
