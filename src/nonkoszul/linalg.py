@@ -50,15 +50,6 @@ class MatrixFp:
         return int(self.data.shape[1])
 
 
-def matrix_from_rows(rows, p: int) -> MatrixFp:
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.size == 0:
-        a = a.reshape(a.shape[0], a.shape[1] if a.ndim == 2 else 0)
-    return MatrixFp(np.mod(a, p), p)
-
-
 def _echelon(a: np.ndarray, p: int) -> list[int]:
     """Reduce `a` in place to row echelon form; return the pivot columns.
 

@@ -73,25 +73,6 @@ def _multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
     return result
 
 
-def binomial_mod(nn: int, kk: int, p: int) -> int:
-    """C(nn, kk) mod p, digit by digit in base p (no large factorials)."""
-    check_prime(p)
-    if nn < 0 or kk < 0:
-        raise ValueError("binomial_mod expects nonnegative arguments")
-    return _binomial_mod(nn, kk, p)
-
-
-def multinomial_mod(total: int, parts: Sequence[int], p: int) -> int:
-    """total! / prod(parts!) mod p, as a product of digit-wise binomials."""
-    check_prime(p)
-    parts = list(parts)
-    if any(x < 0 for x in parts) or total < 0:
-        raise ValueError("multinomial_mod expects nonnegative arguments")
-    if sum(parts) != total:
-        raise ValueError(f"parts {parts} do not sum to {total}")
-    return _multinomial_mod(total, parts, p)
-
-
 def largest_power_leq(p: int, x: int) -> tuple[int, int]:
     """Largest q = p^e with q <= x, returned as (q, e). Requires x >= 1."""
     if x < 1:

@@ -24,22 +24,12 @@ def check_box(caps: Sequence[int]) -> tuple[int, ...]:
     return caps
 
 
-def top_degree(caps: Sequence[int]) -> int:
-    """Largest degree with a nonzero graded piece, sum(d_i - 1)."""
-    return sum(c - 1 for c in check_box(caps))
-
-
 @lru_cache(maxsize=4096)
 def _hilbert_cached(caps: tuple[int, ...]) -> tuple[int, ...]:
     values = np.ones(1, dtype=np.int64)
     for c in caps:
         values = np.convolve(values, np.ones(c, dtype=np.int64))
     return tuple(int(v) for v in values)
-
-
-def hilbert_function(caps: Sequence[int]) -> list[int]:
-    """Coefficients of prod_i (1 + t + ... + t^{d_i - 1}), indexed by degree."""
-    return list(_hilbert_cached(check_box(caps)))
 
 
 def _extend(prefix: list[int], caps: tuple[int, ...], pos: int, left: int,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from .formulas import (NotApplicableError, _char0_value, _splits,
-                       applicability, condition_char0, ep_formula,
+                       applicability, condition_char0, ep_dispatch,
                        fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
@@ -127,20 +127,15 @@ def _simplex(m: int, sum_max: int, nondecreasing: bool = False):
         yield from rec([], sum_max, 1)
 
 
-class _OracleCache:
-    """Relation-degree values keyed by the sorted tuple (the oracle is
+class _OracleCache(dict):
+    """Relation-degree values keyed by p and the sorted tuple (the oracle is
     permutation symmetric; symmetry itself is checked separately on raw calls)."""
-
-    def __init__(self):
-        self._values: dict = {}
 
     def value(self, p: int, d) -> int:
         key = (p, tuple(sorted(d)))
-        v = self._values.get(key)
-        if v is None:
-            v = e_degree_oracle(p, key[1], want_witness=False).value
-            self._values[key] = v
-        return v
+        if key not in self:
+            self[key] = e_degree_oracle(p, key[1], want_witness=False).value
+        return self[key]
 
 
 def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
@@ -193,7 +188,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
         for n in sorted(spec.n_list):
             for d in enum_tuples(n + 1):
                 if spec.paths == "main" and (
-                        n < 3 or not applicability(p, d).main_applicable):
+                        n < 3 or applicability(p, d).failing):
                     continue
                 if spec.paths == "han" and (n != 2 or 2 * max(d) > sum(d)):
                     continue
@@ -205,7 +200,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 oracle_value = cache.value(p, d)
                 # formula-vs-oracle on whichever closed form claims the point
                 try:
-                    res = ep_formula(p, d)
+                    res = ep_dispatch(p, d, "formula")
                 except NotApplicableError:
                     buckets["oracle_only"] += 1
                 else:
@@ -356,7 +351,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                 buckets["skipped"] += 1
                 continue
             rep = applicability(p, d)
-            if not rep.main_applicable or rep.q == 1:
+            if rep.failing or rep.q == 1:
                 buckets["n5_out_of_scope"] += 1
                 continue
             buckets["n5_checked"] += 1
@@ -382,7 +377,6 @@ def verify_tsd_grid(spec: GridSpec) -> dict:
     discrepancies: list[dict] = []
     enumerated = 0
     for p in sorted(spec.p_list):
-        oracle_provider = lambda t, p=p: e_degree_oracle(p, t, want_witness=False)
         for n in sorted(spec.n_list):
             for a in range(1, spec.a_max + 1):
                 if a % p == 0:
@@ -394,7 +388,7 @@ def verify_tsd_grid(spec: GridSpec) -> dict:
                         buckets["skipped"] += 1
                         continue
                     buckets["checked"] += 1
-                    f = tsd_formula(p, K, a, e_provider=oracle_provider)
+                    f = tsd_formula(p, K, a, method="oracle")
                     o = socle_degree_oracle(p, K, a)
                     if f != o:
                         discrepancies.append({
@@ -486,10 +480,6 @@ def default_suite() -> list[dict]:
         {"kind": "fthreshold_convergence", "p": 3, "a": 2, "n": 2,
          "e_max": 3},
     ]
-
-
-def run_suite(specs=None) -> list[dict]:
-    return [run_grid(doc) for doc in (default_suite() if specs is None else specs)]
 
 
 def discrepancies_csv(report: dict) -> str:

@@ -7,14 +7,13 @@ import pytest
 from nonkoszul import formulas
 from nonkoszul.formulas import (
     NotApplicableError,
+    _char0_value,
     _ep_base,
     _refused_minimum,
     _splits,
     applicability,
     condition_char0,
-    e0_formula,
     ep_dispatch,
-    ep_formula,
     ep_han,
     ep_main,
     frac_str,
@@ -38,10 +37,9 @@ def test_condition_char0():
 
 
 def test_e0_values():
-    assert e0_formula((6, 7, 11, 12)) == 17
-    assert e0_formula((2, 2, 2)) == 3
-    with pytest.raises(NotApplicableError):
-        e0_formula((2, 2, 9))
+    # the characteristic-zero value ceil((sum d - n + 1)/2)
+    assert _char0_value((6, 7, 11, 12)) == 17
+    assert _char0_value((2, 2, 2)) == 3
 
 
 def test_ep_base_values():
@@ -90,19 +88,21 @@ def test_applicability_flags():
     assert rep.q == 5 and rep.e == 1
     assert rep.k == (1, 1, 2, 2)
     assert rep.r == (1, 2, 1, 2)
-    assert rep.main_thm_k_range
-    assert rep.main_thm_condition5
-    assert rep.same_q_for_all
-    assert rep.main_applicable
+    assert rep.failing == ()
 
     rep = applicability(5, (7, 7, 7, 18))
     assert rep.k == (1, 1, 1, 3)
-    assert not rep.main_thm_condition5
-    assert not rep.main_applicable
+    assert rep.failing == ("main_thm_condition5",)
 
-    # q differs across entries when one degree drops below the shared power
+    # q differs across entries when one degree drops below the shared power;
+    # the flags come in the fixed order same_q_for_all, main_thm_k_range,
+    # main_thm_condition5
     rep = applicability(3, (9, 9, 9, 2))
-    assert not rep.same_q_for_all
+    assert rep.q == 1
+    assert rep.failing == ("same_q_for_all", "main_thm_k_range")
+    rep = applicability(2, (2, 2, 2, 9))
+    assert rep.failing == ("same_q_for_all", "main_thm_k_range",
+                           "main_thm_condition5")
 
 
 def test_ep_main_worked_example():
@@ -125,7 +125,8 @@ def test_ep_main_char0_tag():
     # q = 1 with the characteristic-zero condition and a large enough p
     res = ep_main(7, (3, 3, 3, 3))
     assert res.method == "char0"
-    assert res.value == e0_formula((3, 3, 3, 3))
+    assert condition_char0((3, 3, 3, 3))
+    assert res.value == _char0_value((3, 3, 3, 3))
 
 
 def test_ep_main_base_tag():
@@ -187,6 +188,41 @@ def test_dispatch_routing():
     assert res.value == 3
     res = ep_dispatch(3, (4,))
     assert res.value == 4
+    # the formula route refuses where auto falls back
+    with pytest.raises(NotApplicableError) as info:
+        ep_dispatch(3, (4,), "formula")
+    assert info.value.failing == ("formula_route",)
+
+
+def test_dispatch_reaches_routes_through_module_attributes(monkeypatch):
+    # perfbench counts each route by replacing these module attributes, so
+    # ep_dispatch must look every route up there at call time
+    seen = []
+    for name in ("ep_han", "ep_main", "e_degree_oracle"):
+        def recording(*args, _name=name, _fn=getattr(formulas, name), **kw):
+            seen.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(formulas, name, recording)
+    cases = [
+        ("formula", (2, 2, 2), ["ep_han"]),
+        ("formula", (6, 7, 11, 12), ["ep_main"]),
+        ("oracle", (2, 2, 2), ["e_degree_oracle"]),
+        ("oracle", (6, 7, 11, 12), ["e_degree_oracle"]),
+        ("auto", (2, 2, 2), ["ep_han"]),
+        ("auto", (6, 7, 11, 12), ["ep_main"]),
+        # a refused closed form falls back to the oracle
+        ("auto", (1, 1, 3), ["ep_han", "e_degree_oracle"]),
+        ("auto", (7, 7, 7, 18), ["ep_main", "e_degree_oracle"]),
+        ("auto", (3, 4), ["e_degree_oracle"]),
+    ]
+    for method, d, routes in cases:
+        seen.clear()
+        ep_dispatch(5, d, method)
+        assert seen == routes, (method, d)
+    seen.clear()
+    with pytest.raises(ValueError, match="unknown method"):
+        ep_dispatch(5, (2, 2, 2), "han")
+    assert seen == []
 
 
 def test_tsd_formula_values():
@@ -213,19 +249,20 @@ def test_tsd_matches_socle_oracle():
         assert tsd_formula(p, K, a) == socle_degree_oracle(p, K, a), (p, K, a)
 
 
-def test_tsd_accepts_explicit_provider():
+def test_tsd_oracle_method(monkeypatch):
     calls = []
 
-    def provider(d):
+    def recording(p, d, want_witness=True):
         calls.append(tuple(d))
-        return e_degree_oracle(3, d, want_witness=False)
+        return e_degree_oracle(p, d, want_witness=want_witness)
 
-    assert tsd_formula(3, (3, 3, 3), 2, e_provider=provider) == 3
+    monkeypatch.setattr(formulas, "e_degree_oracle", recording)
+    assert tsd_formula(3, (3, 3, 3), 2, method="oracle") == 3
     # 3 = 2*1 + 1 allows both roundings of every cap, in product order
     assert calls == list(product((1, 2), repeat=3))
     calls.clear()
     # 4 = 2*2 + 0 cannot round up and 1 = 2*0 + 1 cannot round down
-    assert tsd_formula(3, (4, 1), 2, e_provider=provider) == 1
+    assert tsd_formula(3, (4, 1), 2, method="oracle") == 1
     assert calls == [(2, 1)]
 
 
@@ -322,13 +359,13 @@ def test_feasibility_filter(n, p, q, allowed):
     assert wlp_feasibility_filter(n, p, q) is allowed
 
 
-def _outcome(fn, p, d):
+def _outcome(fn, p, d, *method):
     """A closed form's answer, or the flags and the split minimum it declined
-    with (reported only beside a refused `ep_formula`)."""
+    with (reported only beside a refused `ep_dispatch`)."""
     try:
-        out = fn(p, d)
+        out = fn(p, d, *method)
     except NotApplicableError as exc:
-        min_value = _refused_minimum(p, d) if fn is ep_formula else None
+        min_value = _refused_minimum(p, d) if fn is ep_dispatch else None
         return {"failing": list(exc.failing), "min_value": min_value}
     return out.to_dict() if hasattr(out, "to_dict") else out
 
@@ -341,7 +378,8 @@ def test_closed_form_outputs_are_pinned():
         for m in (3, 4, 5):
             for d in combinations_with_replacement(range(1, 18 - m), m):
                 for t in sorted({d, d[::-1]}) if sum(d) <= 16 else ():
-                    doc["ep"].append([p, t, _outcome(ep_formula, p, t)])
+                    doc["ep"].append([p, t,
+                                      _outcome(ep_dispatch, p, t, "formula")])
     for p in (2, 3, 5):
         for a in range(1, 5):
             for K in combinations_with_replacement(range(1, 7), 3):

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonkoszul.linalg import MatrixFp, kernel_witness, matrix_from_rows, rank
+from nonkoszul.linalg import MatrixFp, kernel_witness, rank
 from nonkoszul.oracle import mult_map
 
 P31 = 2**31 - 1   # the largest prime the package accepts
+
+
+def from_rows(rows, p):
+    return MatrixFp(np.array(rows, dtype=np.int64) % p, p)
 
 
 def random_matrix(rng, rows, cols, p, target_rank=None):
@@ -68,22 +72,24 @@ def test_matrix_validation():
         MatrixFp(np.zeros((2, 2), dtype=np.float64), 5)
 
 
-def test_matrix_from_rows():
-    m = matrix_from_rows([[1, 2], [3, 4]], 5)
+def test_matrix_shape_and_prime():
+    m = from_rows([[1, 2], [3, 4]], 5)
     assert m.rows == 2 and m.cols == 2
     assert m.p == 5
+    empty = MatrixFp(np.zeros((0, 4), dtype=np.int64), 3)
+    assert empty.rows == 0 and empty.cols == 4
 
 
 def test_rank_small_known():
-    m = matrix_from_rows([[1, 2], [2, 4]], 5)
+    m = from_rows([[1, 2], [2, 4]], 5)
     assert rank(m) == 1
     assert m.cols - rank(m) == 1
-    m = matrix_from_rows([[1, 0], [0, 1]], 5)
+    m = from_rows([[1, 0], [0, 1]], 5)
     assert rank(m) == 2
 
 
 def test_rank_zero_and_empty():
-    assert rank(matrix_from_rows([[0, 0], [0, 0]], 3)) == 0
+    assert rank(from_rows([[0, 0], [0, 0]], 3)) == 0
     empty = MatrixFp(np.zeros((0, 4), dtype=np.int64), 3)
     assert rank(empty) == 0
     assert kernel_witness(empty) == (0, (0, 0, 0, 1))
@@ -130,7 +136,7 @@ def test_kernel_witness_at_large_prime():
 
 
 def test_kernel_witness_none_for_full_column_rank():
-    m = matrix_from_rows([[1, 0], [0, 1], [1, 1]], 3)
+    m = from_rows([[1, 0], [0, 1], [1, 1]], 3)
     assert kernel_witness(m) == (2, None)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nonkoszul import linalg, modp, monomials, oracle
-from nonkoszul.linalg import matrix_from_rows, rank
-from nonkoszul.monomials import hilbert_function, slice_array, top_degree
+from nonkoszul.linalg import MatrixFp, rank
+from nonkoszul.monomials import _hilbert_cached, slice_array
 from nonkoszul.oracle import (
     e_degree_oracle,
     mult_map,
@@ -15,6 +15,14 @@ from nonkoszul.oracle import (
     wlp_rank_profile,
 )
 from nonkoszul.verify import canonical_json, fthreshold_convergence
+
+
+def hilbert_function(caps):
+    return _hilbert_cached(tuple(caps))
+
+
+def top_degree(caps):
+    return sum(c - 1 for c in caps)
 
 
 def brute_mult_map(caps, src_degree, power, p):
@@ -371,7 +379,7 @@ def brute_socle_degree(p, K, a):
                 key = tuple(shifted)
                 if key in tgt:
                     mat[tgt[key], col] = (mat[tgt[key], col] + 1) % p
-        if len(tgt) and rank(matrix_from_rows(mat, p)) < len(tgt):
+        if len(tgt) and rank(MatrixFp(mat, p)) < len(tgt):
             best = j
     return best
 

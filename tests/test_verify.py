@@ -14,7 +14,6 @@ from nonkoszul.verify import (
     discrepancies_csv,
     fthreshold_convergence,
     run_grid,
-    run_suite,
 )
 
 
@@ -279,8 +278,8 @@ def test_suite_json_stable_across_runs():
     small = [{"kind": "e", "p_list": [2], "n_list": [2], "d_max": 4},
              {"kind": "tsd", "p_list": [2], "n_list": [2], "K_max": 3,
               "a_max": 3}]
-    first = [canonical_json(r) for r in run_suite(small)]
-    second = [canonical_json(r) for r in run_suite(small)]
+    first = [canonical_json(run_grid(doc)) for doc in small]
+    second = [canonical_json(run_grid(doc)) for doc in small]
     assert first == second
     parsed = json.loads(first[0])
     assert parsed["totals"]["discrepancies"] == 0
