@@ -15,9 +15,9 @@ from .monomials import slice_array
 from .oracle import (EResult, KernelWitness, WlpRecord, WlpReport,
                      e_degree_oracle, mult_map, socle_degree_oracle,
                      wlp_rank_profile)
-from .verify import (GridSpec, canonical_json, default_suite,
-                     fthreshold_convergence, run_grid, verify_e_grid,
-                     verify_tsd_grid, verify_wlp_grid)
+from .verify import (GridSpec, canonical_json, fthreshold_convergence,
+                     run_grid, verify_e_grid, verify_tsd_grid,
+                     verify_wlp_grid)
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "ApplicabilityReport", "EResult", "FThresholdResult", "GridSpec",
     "KernelWitness", "MatrixFp", "NotApplicableError", "WlpRecord",
     "WlpReport", "applicability", "canonical_json", "check_prime",
-    "condition_char0", "default_suite", "e_degree_oracle", "ep_dispatch",
+    "condition_char0", "e_degree_oracle", "ep_dispatch",
     "ep_han", "ep_main", "frac_str", "fthreshold_convergence",
     "fthreshold_formula", "is_prime", "kernel_witness", "largest_power_leq",
     "min_function", "mult_map", "rank", "run_grid", "slice_array",

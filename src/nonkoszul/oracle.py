@@ -58,6 +58,9 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
     `degree` slice, so the mask is smaller than the int64 matrix whenever
     that slice has fewer than 8 x the target slice's monomials, and never
     above the square of the box's largest graded piece.
+
+    The caller has checked that p is prime and every coefficient is a
+    residue in [1, p), so the matrix is wrapped without a second check.
     """
     src = _slice_cached(caps, src_degree)
     tgt = _slice_cached(caps, src_degree + degree)
@@ -75,7 +78,7 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
         term, col = np.nonzero(fits)
         rows = code_to_row[(src @ strides)[col] + (comps @ strides)[term]]
         mat[rows, col] = np.array(coeffs, dtype=np.int64)[term]
-    return MatrixFp(mat, p)
+    return MatrixFp._trusted(mat, p)
 
 
 def mult_map(caps, src_degree: int, power: int, p: int) -> MatrixFp:
@@ -86,7 +89,7 @@ def mult_map(caps, src_degree: int, power: int, p: int) -> MatrixFp:
     descending lex order.  A negative src_degree gives an empty source.
     """
     caps = check_box(caps)
-    check_prime(p)
+    p = check_prime(p)
     if power < 0:
         raise ValueError("power must be nonnegative")
     return _shift_matrix(caps, src_degree, power,
@@ -176,12 +179,25 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     scan step that finds a kernel keeps its witness as well, so the witness
     costs a further elimination only at a degree whose rank came from its
     dual (U - 1 in that case).
+
+    One box variable, d = (c, t): the box is k[x]/(x^c) with f = x, one
+    monomial in each degree 0..c-1, and H = (1,)*c is never built.  Then
+    U = max(0, c - t).  The map from U - 1 (when U > 0) sends x^{U-1} to
+    x^{c-1}, the 1 x 1 matrix (1), so it is injective, and the map from U
+    has no target.  So the answer is t + U = max(c, t), and the canonical
+    kernel vector of the map from U is its one source coordinate, 1.
     """
     check_prime(p)
     d = check_box(d)
     if len(d) == 1:
         # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
+    if len(d) == 2:
+        c, power = d
+        wit = KernelWitness(box=(c,), degree=max(c - power, 0),
+                            coefficients=(1,)) if want_witness else None
+        return EResult(value=max(c, power), method="oracle",
+                       degenerate=_degenerate(d), witness=wit)
     caps, power = d[:-1], d[-1]
     H = _hilbert_cached(caps)
     mirror = len(H) - 1 - power      # M_j and M_{mirror - j} share a rank
@@ -285,7 +301,7 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     U = 0 and nothing is probed.
     """
     caps = check_box(K)
-    check_prime(p)
+    p = check_prime(p)
     a = int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")

@@ -468,20 +468,6 @@ def run_grid(doc: dict) -> dict:
                                   matrix_cap=spec.matrix_cap)
 
 
-def default_suite() -> list[dict]:
-    """Small grids covering every kind; the determinism check runs these twice."""
-    return [
-        {"kind": "e", "p_list": [2, 3], "n_list": [3], "sum_max": 12},
-        {"kind": "e", "p_list": [2, 5], "n_list": [2], "d_max": 8},
-        {"kind": "wlp", "p_list": [2, 3], "n_list": [3], "sum_max": 12,
-         "d_max": 8, "d_max_n4": 5, "d_max_n5": 4},
-        {"kind": "tsd", "p_list": [2, 3], "n_list": [2], "K_max": 5,
-         "a_max": 3},
-        {"kind": "fthreshold_convergence", "p": 3, "a": 2, "n": 2,
-         "e_max": 3},
-    ]
-
-
 def discrepancies_csv(report: dict) -> str:
     """Flatten a report's discrepancy records to CSV text (header always)."""
     records = report.get("discrepancies", [])

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -408,3 +409,21 @@ def test_closed_form_outputs_are_pinned():
     digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
     assert digest == \
         "8b068a20b9c15cf054e80dfeaa1ea7a6bbfd666a48ef890bb25e8795d9409957"
+
+
+def test_two_degrees_need_no_hilbert_function():
+    # one box variable: E(c, t) = max(c, t) by arithmetic, so caps of 5^15
+    # cost no memory; with K = 7k + 6 the least split term is at
+    # c = (k + 1, k + 1), and the socle degree is 2K - 2 + 7 - 7(k + 1)
+    K = 5 ** 15
+    tracemalloc.start()
+    try:
+        value = tsd_formula(5, (K, K), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K % 7 == 6
+    assert value == 2 * K - 2 + 7 - 7 * (K // 7 + 1)
+    assert peak < 2 ** 20
+    res = e_degree_oracle(5, (K, 3))
+    assert (res.value, res.witness.degree) == (K, K - 3)

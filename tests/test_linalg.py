@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonkoszul.linalg import MatrixFp, kernel_witness, rank
+from nonkoszul import linalg
+from nonkoszul.linalg import MatrixFp, _echelon, kernel_witness, rank
 from nonkoszul.oracle import mult_map
 
 P31 = 2**31 - 1   # the largest prime the package accepts
@@ -162,3 +163,72 @@ def test_kernel_witness_on_wide_blocked_sizes():
         r, v = kernel_witness(m)
         assert r == rank(m)
         assert_kernel_vector(m, v)
+
+
+def echelon_reducing_every_step(a, p):
+    """Reference elimination: the same pivot rule with `% p` on every update.
+    Returns the pivot columns and how many updates had at least
+    `linalg._DEFER_CELLS` cells, the ones `_echelon` leaves unreduced."""
+    m, n = a.shape
+    pivots, deferred = [], 0
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        if inv != 1:
+            a[r, c:] = (a[r, c:] * inv) % p
+        below = a[r + 1:, c]
+        live = np.nonzero(below)[0]
+        if live.size:
+            rows = r + 1 + live
+            a[rows, c:] = (a[rows, c:] - np.outer(below[live], a[r, c:])) % p
+            deferred += live.size * (n - c) >= linalg._DEFER_CELLS
+        pivots.append(c)
+    return pivots, deferred
+
+
+def test_echelon_matches_reducing_every_step():
+    # pivots and pivot rows equal the reference's byte for byte, on dense,
+    # sparse and low-rank matrices; at 1073741789 and 2^31 - 1 at most 8 and
+    # 2 unreduced updates fit in int64, so the dense matrices there force
+    # the trailing rows to be reduced mid-elimination
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for p in (2, 3, 8191, 8388617, 1073741789, P31):
+        for rows, cols in [(150, 150), (140, 90), (70, 150)]:
+            cases.append((rng.integers(0, p, size=(rows, cols)), p, True))
+            mask = rng.random((rows, cols)) < 0.04
+            cases.append((np.where(mask, rng.integers(1, p, size=mask.shape),
+                                   0), p, False))
+            tr = int(rng.integers(1, min(rows, cols)))
+            cases.append((random_matrix(rng, rows, cols, p, tr).data, p,
+                          False))
+    for caps, src, power, p in [((4,) * 6, 7, 4, 8388617),
+                                ((5,) * 5, 8, 5, 8191),
+                                ((5,) * 5, 5, 8, 8191)]:
+        cases.append((mult_map(caps, src, power, p).data, p, False))
+    for data, p, dense in cases:
+        ref = data.astype(np.int64)
+        pivots, deferred = echelon_reducing_every_step(ref, p)
+        if dense:
+            assert deferred > 8
+        a = data.astype(np.int64)
+        assert _echelon(a, p) == pivots
+        assert np.array_equal(a[:len(pivots)], ref[:len(pivots)])
+
+
+def test_rank_and_witness_leave_the_matrix_untouched():
+    # elimination holds unreduced values mid-way, but only in its own copy
+    rng = np.random.default_rng(3)
+    for p in (8191, P31):
+        m = random_matrix(rng, 120, 100, p)
+        before = m.data.copy()
+        assert rank(m) == kernel_witness(m)[0] == 100
+        assert np.array_equal(m.data, before)

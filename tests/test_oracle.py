@@ -438,7 +438,8 @@ def test_socle_oracle_checks_its_caps_once(monkeypatch):
 
 def test_mult_map_checks_its_prime_once(monkeypatch):
     # the multinomial coefficients of f^power come from the unchecked modp
-    # helper, so in oracle and modp only mult_map's own check runs
+    # helper, and the built matrix is not checked again, so in oracle, modp
+    # and linalg only mult_map's own check runs
     calls = []
     check_prime = modp.check_prime
 
@@ -448,6 +449,7 @@ def test_mult_map_checks_its_prime_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "check_prime", counting_check_prime)
     monkeypatch.setattr(modp, "check_prime", counting_check_prime)
+    monkeypatch.setattr(linalg, "check_prime", counting_check_prime)
     oracle._power_terms.cache_clear()
     mult_map((3, 4, 5), 2, 5, 11)
     assert calls == [11]
