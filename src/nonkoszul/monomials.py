@@ -26,9 +26,11 @@ def check_box(caps: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _hilbert_cached(caps: tuple[int, ...]) -> tuple[int, ...]:
+    # times 1 + x + ... + x^{c-1}: running sums over a window of width c
     values = np.ones(1, dtype=np.int64)
     for c in caps:
-        values = np.convolve(values, np.ones(c, dtype=np.int64))
+        values = np.cumsum(np.concatenate([values, np.zeros(c - 1, np.int64)]))
+        values[c:] = values[c:] - values[:-c]
     return tuple(int(v) for v in values)
 
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import comb
 
 from .formulas import (NotApplicableError, _char0_value, _splits,
                        applicability, condition_char0, ep_dispatch,
@@ -140,6 +141,16 @@ class _OracleCache(dict):
 
 def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
     return max(_hilbert_cached(d)) <= cap
+
+
+def _cube_peak(q: int, m: int) -> int:
+    # Largest piece of the box (q,) * m.  Its Hilbert series, the product of
+    # m symmetric unimodal 1 + x + ... + x^{q-1}, is symmetric and unimodal,
+    # so it peaks at j = m(q-1)//2.  Inclusion-exclusion over the k coordinates
+    # with a_i >= q counts the a in [0, q-1]^m of sum j.
+    j = m * (q - 1) // 2
+    return sum((-1) ** k * comb(m, k) * comb(j - k * q + m - 1, m - 1)
+               for k in range(j // q + 1))
 
 
 def _point_key(rec: dict) -> tuple:
@@ -417,7 +428,7 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
         if q % a != 1 % a:
             outside += 1
             continue
-        peak = max(_hilbert_cached((q,) * (n + 1)))
+        peak = _cube_peak(q, n + 1)
         if peak > matrix_cap:
             skipped.append({"e": e, "q": q, "reason": "matrix_cap",
                             "peak_dimension": peak})

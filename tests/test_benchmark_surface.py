@@ -1,13 +1,18 @@
 """The benchmark in perfbench/ reaches the program only through module
 attributes.  Every attribute it names must exist and every call it makes must
 fit the signature, so trimming a name the benchmark uses fails here and not
-in a benchmark run."""
+in a benchmark run.  The seed-0 outputs of every workload must also hash to
+the digests stored in perfbench/digests.json."""
 
 import ast
+import importlib
 import inspect
+import json
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import pytest
 
 from nonkoszul import cli, formulas, linalg, monomials, oracle, verify
 
@@ -69,3 +74,17 @@ def test_tracer_reads_existing_names():
     for name in ("rows", "cols", "data", "p"):
         assert has_attribute(linalg.MatrixFp, name), name
     assert callable(linalg.rank)
+
+
+@pytest.mark.parametrize("workload", ["grid_sweep", "socle_sparse",
+                                      "query_mix"])
+def test_seed0_outputs_match_stored_digests(workload, monkeypatch):
+    # the benchmark's seed-0 answers, run in-process: an output change
+    # fails here before any benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    stored = json.loads((PERFBENCH / "digests.json").read_text())
+    inputs = workloads.generate(workload, 0)
+    outputs, _, _ = workloads.run(workload, inputs)
+    assert workloads.check(workload, inputs, outputs) == []
+    assert workloads.digest(outputs) == stored[workload]

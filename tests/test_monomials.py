@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,21 @@ def test_hilbert_matches_enumeration():
         assert len(values) == sum(c - 1 for c in caps) + 1
         for j, v in enumerate(values):
             assert v == brute_count(caps, j)
+
+
+def test_hilbert_of_large_square_box():
+    values = _hilbert_cached((100000, 100000))
+    assert len(values) == 199999
+    assert all(v == min(j + 1, 199999 - j) for j, v in enumerate(values))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_hilbert_matches_convolution(caps):
+    values = np.ones(1, dtype=np.int64)
+    for c in caps:
+        values = np.convolve(values, np.ones(c, dtype=np.int64))
+    assert _hilbert_cached(tuple(caps)) == tuple(int(v) for v in values)
 
 
 def test_hilbert_symmetric_in_caps():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,39 @@ def test_mult_map_matches_brute_force(caps, deg, power, p):
     expected = brute_mult_map(caps, deg, power, p)
     assert got.p == p
     assert np.array_equal(got.data, expected)
+
+
+def reference_power_terms(caps, t, p):
+    """(exponent vector, t!/prod(a_i!) mod p) for every term of
+    (x_1+...+x_m)^t inside the box, descending lex, zero residues dropped."""
+    import math
+    terms = []
+    for comp in sorted(itertools.product(*(range(c) for c in caps)),
+                       reverse=True):
+        if sum(comp) == t:
+            coeff = math.factorial(t)
+            for a in comp:
+                coeff //= math.factorial(a)
+            if coeff % p:
+                terms.append((comp, coeff % p))
+    return terms
+
+
+def test_power_terms_match_factorial_reference():
+    rng = random.Random(19)
+    primes = (2, 3, 5, 7, 8191, 8388617, 2**31 - 1)
+    cases = [((3, 3), 2, 2), ((4, 4), 3, 3), ((9, 9, 9), 9, 3)]
+    for _ in range(300):
+        caps = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
+        cases.append((caps, rng.randint(0, sum(caps) - len(caps) + 1),
+                      rng.choice(primes)))
+    for caps, t, p in cases:
+        comps, coeffs = oracle._power_terms(caps, t, p)
+        got = list(zip(map(tuple, comps.tolist()), coeffs))
+        assert got == reference_power_terms(caps, t, p), (caps, t, p)
+    # 2xy vanishes mod 2, 3x^2y and 3xy^2 mod 3
+    assert oracle._power_terms((3, 3), 2, 2)[1] == (1, 1)
+    assert oracle._power_terms((4, 4), 3, 3)[0].tolist() == [[3, 0], [0, 3]]
 
 
 FROZEN_E = [
@@ -437,9 +471,9 @@ def test_socle_oracle_checks_its_caps_once(monkeypatch):
 
 
 def test_mult_map_checks_its_prime_once(monkeypatch):
-    # the multinomial coefficients of f^power come from the unchecked modp
-    # helper, and the built matrix is not checked again, so in oracle, modp
-    # and linalg only mult_map's own check runs
+    # the multinomial coefficients of f^power are exact integers reduced
+    # mod p with no check, and the built matrix is not checked again, so in
+    # oracle, modp and linalg only mult_map's own check runs
     calls = []
     check_prime = modp.check_prime
 

@@ -6,6 +6,7 @@ import pytest
 
 from nonkoszul import verify
 from nonkoszul.formulas import condition_char0
+from nonkoszul.monomials import _hilbert_cached
 from nonkoszul.oracle import wlp_rank_profile
 from nonkoszul.verify import (
     GridSpec,
@@ -229,6 +230,22 @@ def test_fthreshold_convergence_skips_oversized_boxes():
     assert report["totals"]["skipped"] == 1
     assert report["skipped"][0]["q"] == 125
     assert "reason" in report["skipped"][0]
+
+
+def test_fthreshold_convergence_skips_deep_rows_without_hilbert():
+    # n = 1: the largest piece of the box (q, q) is q, so the rows from
+    # q = 13^3 on exceed the cap and are skipped at once
+    report = fthreshold_convergence(13, 2, 1, 9, matrix_cap=200)
+    assert [row["q"] for row in report["rows"]] == [1, 13, 169]
+    assert [(s["e"], s["peak_dimension"]) for s in report["skipped"]] == \
+        [(e, 13 ** e) for e in range(3, 10)]
+
+
+def test_cube_peak_matches_hilbert_function():
+    for q in range(1, 30):
+        for m in range(1, 6):
+            assert verify._cube_peak(q, m) == \
+                max(_hilbert_cached((q,) * m)), (q, m)
 
 
 def test_fthreshold_trivial_single_row():
