@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
+from operator import add, not_
 
 from .modp import check_prime, largest_power_leq
 from .monomials import check_box
@@ -68,8 +69,10 @@ def applicability(p: int, d) -> ApplicabilityReport:
     q, e = largest_power_leq(p, min(d))
     k, r = zip(*(divmod(di, q) for di in d))
     bound = (sum(k) - n + 1) // 2
+    # q <= min d <= d_i, so q is the largest power of p at most d_i
+    # exactly when d_i < pq
     flags = (
-        ("same_q_for_all", all(largest_power_leq(p, di)[0] == q for di in d)),
+        ("same_q_for_all", all(di < p * q for di in d)),
         ("main_thm_k_range", all(1 <= ki <= p - 1 for ki in k)),
         ("main_thm_condition5", all(ki <= bound for ki in k)),
     )
@@ -83,8 +86,7 @@ def _splits(k, r):
     {0,1}^len(k), in `product` order, yield (epsilon, k + epsilon, the sum
     of the r_i where epsilon_i = 0)."""
     for eps in product((0, 1), repeat=len(k)):
-        yield (eps, tuple(ki + ei for ki, ei in zip(k, eps)),
-               sum(ri for ri, ei in zip(r, eps) if ei == 0))
+        yield eps, tuple(map(add, k, eps)), sum(compress(r, map(not_, eps)))
 
 
 def min_function(p: int, q: int, k, r) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -26,6 +27,7 @@ from nonkoszul.formulas import (
     wlp_criterion,
     wlp_feasibility_filter,
 )
+from nonkoszul.modp import largest_power_leq
 from nonkoszul.oracle import e_degree_oracle, socle_degree_oracle
 from nonkoszul.verify import canonical_json
 
@@ -76,6 +78,51 @@ def test_splits_enumerate_in_product_order():
     assert list(_splits((1, 2), (3, 4))) == [
         ((0, 0), (1, 2), 7), ((0, 1), (1, 3), 3),
         ((1, 0), (2, 2), 4), ((1, 1), (2, 3), 0)]
+
+
+def test_splits_match_reference_generator():
+    # the generator by explicit loops over k + epsilon and the remainders
+    def reference(k, r):
+        for eps in product((0, 1), repeat=len(k)):
+            yield (eps, tuple(ki + ei for ki, ei in zip(k, eps)),
+                   sum(ri for ri, ei in zip(r, eps) if ei == 0))
+
+    rng = random.Random(20)
+    for _ in range(600):
+        m = rng.randint(1, 6)
+        k = [rng.randint(0, 9) for _ in range(m)]
+        r = [rng.randint(0, 30) for _ in range(m)]
+        assert list(_splits(k, r)) == list(reference(k, r)), (k, r)
+        assert list(_splits(tuple(k), tuple(r))) == list(reference(k, r))
+
+
+def test_applicability_matches_per_entry_powers():
+    # the definition that finds the largest power of p at most every entry and
+    # asks that they all equal q
+    def reference(p, d):
+        q, e = largest_power_leq(p, min(d))
+        k, r = zip(*(divmod(di, q) for di in d))
+        bound = (sum(k) - len(d) + 2) // 2
+        flags = (
+            ("same_q_for_all",
+             all(largest_power_leq(p, di)[0] == q for di in d)),
+            ("main_thm_k_range", all(1 <= ki <= p - 1 for ki in k)),
+            ("main_thm_condition5", all(ki <= bound for ki in k)),
+        )
+        return q, e, k, r, tuple(name for name, ok in flags if not ok)
+
+    # every ordered pair and every multiset of three entries up to 30, and
+    # random tuples of four and five entries up to 30
+    rng = random.Random(21)
+    for p in (2, 3, 5, 7, 11, 13):
+        tuples = [*product(range(1, 31), repeat=2),
+                  *combinations_with_replacement(range(1, 31), 3),
+                  *(tuple(rng.randint(1, 30) for _ in range(rng.randint(4, 5)))
+                    for _ in range(1500))]
+        for d in tuples:
+            rep = applicability(p, d)
+            assert (rep.q, rep.e, rep.k, rep.r, rep.failing) == \
+                reference(p, d), (p, d)
 
 
 def test_min_function_rejects_k_out_of_range():

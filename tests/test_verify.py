@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -185,13 +186,15 @@ def test_agreements_count_failing_points_once(monkeypatch):
 
 
 def test_report_bytes_are_pinned():
-    # small e, wlp and tsd grids, byte for byte; run_grid reads each one
-    # through GridSpec.from_dict
+    # small e, wlp and tsd grids, and e grids under each paths filter, byte
+    # for byte; run_grid reads each one through GridSpec.from_dict
     pinned = [
         "566a51fd501b583b212f3c00d6cc82b6e7428a4259b19479e38fa1074eaa5235",
         "a9391a26321f6ff5eefbb309206ee6d200366b9774928f266f5313d764be476a",
         "973871dd190a788676171fa1f641695a357b7f825f3b7697bff3a79968bf46e6",
         "ef3e4c29dd4bf4992f638d65a45390e33e01e75b765354a506c2e32b51d57700",
+        "f40b00c1ba53239f38892bbe2b72578a0f1f6bd0deb795dd2e63e65f4ccaab35",
+        "1dc6baea2349f5ac3d1139bcafef2cc7a3236105a364902947dd2b1630b65cf7",
     ]
     docs = [
         {"kind": "e", "p_list": [2, 3], "n_list": [3], "sum_max": 12},
@@ -200,8 +203,42 @@ def test_report_bytes_are_pinned():
          "d_max": 8, "d_max_n4": 5, "d_max_n5": 4},
         {"kind": "tsd", "p_list": [2, 3], "n_list": [2], "K_max": 5,
          "a_max": 3},
+        {"kind": "e", "p_list": [2, 3], "n_list": [3, 4], "sum_max": 12,
+         "paths": "main"},
+        {"kind": "e", "p_list": [2, 5], "n_list": [2], "d_max": 8,
+         "paths": "han"},
     ]
     assert [_sha256(run_grid(doc)) for doc in docs] == pinned
+
+
+def test_e_grid_records_every_arrangement_of_a_failing_multiset(monkeypatch):
+    # Raising the oracle value of every multiset whose sum is a multiple of 4
+    # (symmetric, so the cache stays exact) breaks split bounds and unit
+    # steps on some multisets and leaves others clean.  Every arrangement of
+    # a failing multiset writes its own records, in grid order, and a clean
+    # one adds the same check counts however it is ordered: the bytes of
+    # both reports are those of running both checks on every arrangement.
+    real = verify.e_degree_oracle
+
+    def inflated(p, d, want_witness=True):
+        res = real(p, d, want_witness=want_witness)
+        return dataclasses.replace(res, value=res.value + 2 * (sum(d) % 4 == 0))
+
+    monkeypatch.setattr(verify, "e_degree_oracle", inflated)
+    docs = [
+        {"kind": "e", "p_list": [2, 3], "n_list": [2, 3, 4], "sum_max": 10},
+        {"kind": "e", "p_list": [2, 5], "n_list": [2, 3, 4], "d_max": 4},
+    ]
+    reports = [run_grid(doc) for doc in docs]
+    for report in reports:
+        kinds = {rec["check"] for rec in report["discrepancies"]}
+        assert {"power_split_bound", "monotonicity"} <= kinds
+        assert 0 < report["totals"]["agreements"] < report["totals"]["checked"]
+    assert [r["totals"]["discrepancies"] for r in reports] == [4306, 20357]
+    assert [_sha256(r) for r in reports] == [
+        "6102cdc7338165421c05d85bb6f0942bb757e5309217209576ce9b352f2712f7",
+        "c1836dfb6a106fc2103367bc6a38ab7dfb776b537962cc030306cbe962900153",
+    ]
 
 
 def test_tsd_grid_small_clean():
