@@ -188,6 +188,10 @@ def _cmd_tsd(args) -> tuple[str, int]:
 
 
 def _cmd_fthreshold(args) -> tuple[str, int]:
+    if args.matrix_cap < 1:
+        # every row would be skipped, so the table would check nothing
+        raise ValueError(f"--matrix-cap must be at least 1, "
+                         f"got {args.matrix_cap}")
     res = fthreshold_formula(args.p, args.a, args.n)
     doc = res.to_dict()
     if args.converge is not None:

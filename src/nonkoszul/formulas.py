@@ -32,13 +32,17 @@ def _char0_value(d: tuple[int, ...]) -> int:
     return (sum(d) - n + 2) // 2
 
 
-def condition_char0(d) -> bool:
-    """The characteristic-zero hypothesis: no d_i exceeds the sum of the
-    co-degrees, d_i <= sum_{j != i} (d_j - 1)."""
-    d = check_box(d)
+def _condition_char0(d: tuple[int, ...]) -> bool:
+    """`condition_char0` on a checked tuple."""
     n = len(d) - 1
     total = sum(d)
     return all(2 * di <= total - n for di in d)
+
+
+def condition_char0(d) -> bool:
+    """The characteristic-zero hypothesis: no d_i exceeds the sum of the
+    co-degrees, d_i <= sum_{j != i} (d_j - 1)."""
+    return _condition_char0(check_box(d))
 
 
 def _ep_base(p: int, kappa: tuple[int, ...]) -> int:
@@ -101,7 +105,13 @@ def min_function(p: int, q: int, k, r) -> int:
         raise ValueError("need k_i >= 1 and 0 <= r_i < q")
     if any(ki + 1 > p for ki in k):
         raise NotApplicableError(("main_thm_k_range",))
-    # k_i >= 1 and k_i + 1 <= p put every entry of k + epsilon in [1, p]
+    return _split_minimum(p, q, k, r)
+
+
+def _split_minimum(p: int, q: int, k: tuple[int, ...],
+                   r: tuple[int, ...]) -> int:
+    """`min_function` on checked input: p prime, every k_i in [1, p - 1] and
+    every r_i in [0, q), so every entry of k + epsilon lies in [1, p]."""
     return min(q * _ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
 
 
@@ -114,13 +124,14 @@ def ep_main(p: int, d) -> EResult:
         raise ValueError("main formula needs at least four degrees")
     if rep.failing:
         raise NotApplicableError(rep.failing)
-    value = min_function(p, rep.q, rep.k, rep.r)
+    # applicability checked p and d and, with no failing flag, every k_i
+    value = _split_minimum(p, rep.q, rep.k, rep.r)
     if rep.q > 1:
         method = "main"
     else:
         # q = 1 collapses the split, so the value is the base formula's; call
         # it char0 when the char-0 theorem provably gives the same number
-        method = ("char0" if condition_char0(d) and p >= _char0_value(d)
+        method = ("char0" if _condition_char0(d) and p >= _char0_value(d)
                   else "base")
     return EResult(value=value, method=method, degenerate=_degenerate(d),
                    witness=None)
@@ -135,7 +146,7 @@ def _refused_minimum(p: int, d) -> int | None:
     rep = applicability(p, d)
     if "main_thm_k_range" in rep.failing:
         return None
-    return min_function(p, rep.q, rep.k, rep.r)
+    return _split_minimum(p, rep.q, rep.k, rep.r)
 
 
 def ep_han(p: int, d1: int, d2: int, d3: int) -> int:

@@ -148,6 +148,15 @@ def _dimension_bound(H: tuple[int, ...], t: int) -> int:
 def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     """Least degree of a kernel element of x f^{d_last} on the box d[:-1].
 
+    Unit caps.  A cap of 1 makes its variable 0 in the box, so the scan runs
+    on the live box of the caps above 1.  Each degree slice of the full box
+    is a slice of the live box with a zero coordinate inserted at each unit
+    cap, in the same descending lex order, and f restricted to the live box
+    is the sum of its variables, so every matrix, rank and witness below is
+    the same on either box.  The witness keeps the full box, so its terms
+    keep their variable indices.  This uses no symmetry of E: d_last stays
+    the power, and only caps of the box are dropped.
+
     Let power = d_last, H the Hilbert function of the box and `top` its top
     degree.  U = `_dimension_bound(H, power)` is the least source degree i
     with H[i] > H[i + power] (H zero above top), so U <= top and the map from
@@ -160,6 +169,12 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     kernel (0 if all do, as source degree -1 is empty), the answer is
     d_last + i.  The witness (when requested) is the canonical kernel vector
     of the map from source degree i (`linalg.kernel_witness`).
+
+    Degree 0.  M_0, the map from source degree 0, has the one column that
+    sends 1 to f^power: the coefficients of f^power that survive the box mod
+    p, which `_power_terms` lists.  So its rank is 1 when that list is
+    nonempty and 0 otherwise, its canonical kernel vector is (1,) when the
+    rank is 0, and no matrix is built.
 
     Duality.  Write M_j for the map from source degree j and c for the caps.
     The complement x^a -> x^{c-1-a} sends the degree j basis onto the degree
@@ -177,36 +192,43 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     costs a further elimination only at a degree whose rank came from its
     dual (U - 1 in that case).
 
-    One box variable, d = (c, t): the box is k[x]/(x^c) with f = x, one
-    monomial in each degree 0..c-1, and H = (1,)*c is never built.  Then
-    U = max(0, c - t).  The map from U - 1 (when U > 0) sends x^{U-1} to
-    x^{c-1}, the 1 x 1 matrix (1), so it is injective, and the map from U
-    has no target.  So the answer is t + U = max(c, t), and the canonical
-    kernel vector of the map from U is its one source coordinate, 1.
+    At most one live variable, caps c (all caps 1 counts as c = 1): the live
+    box is k[x]/(x^c) with f = x, one monomial in each degree 0..c-1, and
+    H = (1,)*c is never built.  Then U = max(0, c - t) for t = d_last.  The
+    map from U - 1 (when U > 0) sends x^{U-1} to x^{c-1}, the 1 x 1 matrix
+    (1), so it is injective, and the map from U has no target.  So the
+    answer is t + U = max(c, t), and the canonical kernel vector of the map
+    from U is its one source coordinate, 1.
     """
-    check_prime(p)
+    p = check_prime(p)
     d = check_box(d)
     if len(d) == 1:
         # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
         return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
-    if len(d) == 2:
-        c, power = d
-        wit = KernelWitness(box=(c,), degree=max(c - power, 0),
+    box, power = d[:-1], d[-1]
+    caps = tuple(c for c in box if c > 1)
+    if len(caps) <= 1:
+        c = max(box)
+        wit = KernelWitness(box=box, degree=max(c - power, 0),
                             coefficients=(1,)) if want_witness else None
         return EResult(value=max(c, power), method="oracle",
                        degenerate=_degenerate(d), witness=wit)
-    caps, power = d[:-1], d[-1]
+    terms = _power_terms(caps, power, p)
     H = _hilbert_cached(caps)
     mirror = len(H) - 1 - power      # M_j and M_{mirror - j} share a rank
     ranks: dict[int, int] = {}
     witnesses: dict[int, tuple[int, ...] | None] = {}
 
     def eliminate(j: int) -> None:
-        mat = mult_map(caps, j, power, p)
-        if want_witness:
-            r, witnesses[j] = kernel_witness(mat)
+        if j == 0:
+            r = min(1, len(terms[1]))
+            witnesses[0] = None if r else (1,)
         else:
-            r = rank(mat)
+            mat = _shift_matrix(caps, j, power, *terms, p)
+            if want_witness:
+                r, witnesses[j] = kernel_witness(mat)
+            else:
+                r = rank(mat)
         ranks[j] = ranks[mirror - j] = r
 
     i = _dimension_bound(H, power)
@@ -222,7 +244,7 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
     if want_witness:
         if i not in witnesses:
             eliminate(i)
-        wit = KernelWitness(box=caps, degree=i, coefficients=witnesses[i])
+        wit = KernelWitness(box=box, degree=i, coefficients=witnesses[i])
     return EResult(value=power + i, method="oracle",
                    degenerate=_degenerate(d), witness=wit)
 
@@ -266,14 +288,30 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
     top - 1 - i is the map from degree i transposed with its rows and columns
     reversed (the two are adjoint under the Gorenstein pairing
     A_j x A_{top-j} -> A_top), and the two ranks are equal.
+
+    The lower half is ranked downward from degree (top + 1)//2 - 1 and stops
+    at the first injective map: every lower degree j then has rank H[j].
+    Injectivity passes down for j + 1 <= top.  If l = x_1 + ... + x_m is
+    injective from degree j + 1 and l g = 0 for some nonzero g of degree j,
+    then g is not in the socle, which is spanned by x^{c-1} in degree top,
+    so x_k g != 0 for some k, and l x_k g = x_k l g = 0 in degree j + 1, a
+    contradiction.  This is the socle argument of `e_degree_oracle`; for
+    level algebras it is Migliore, Miro-Roig and Nagel (2011), Prop. 2.1.
+    So a box with WLP costs one elimination.
     """
     caps = check_box(d)
-    check_prime(p)
+    p = check_prime(p)
     H = _hilbert_cached(caps)
     top = len(H) - 1
-    ranks = [0] * top
-    for i in range((top + 1) // 2):
-        ranks[i] = ranks[top - 1 - i] = rank(mult_map(caps, i, 1, p))
+    terms = _power_terms(caps, 1, p)
+    low = list(H[:(top + 1) // 2])
+    for j in reversed(range(len(low))):
+        low[j] = rank(_shift_matrix(caps, j, 1, *terms, p))
+        if low[j] == H[j]:
+            break
+    # degree top - 1 - j mirrors degree j; for odd top the middle degree
+    # (top - 1)/2 is its own mirror
+    ranks = low + low[::-1][top % 2:]
     records = tuple(WlpRecord(degree=i, dim_source=H[i], dim_target=H[i + 1],
                               rank=r) for i, r in enumerate(ranks))
     return WlpReport(p=p, box=caps, records=records,

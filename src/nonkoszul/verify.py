@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
-from .formulas import (NotApplicableError, _char0_value, _splits,
-                       applicability, condition_char0, ep_dispatch,
+from .formulas import (NotApplicableError, _char0_value, _condition_char0,
+                       _splits, applicability, ep_dispatch,
                        fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
@@ -100,9 +100,10 @@ class GridSpec:
                 check_prime(p)
             except ValueError as exc:
                 raise ValueError(f"grid field 'p_list': {exc}") from None
-        # a bound below 1 enumerates no point, so the grid would check nothing
+        # a bound below 1 enumerates no point, and a matrix cap below 1 skips
+        # every point, so the grid would check nothing
         bounds = {"e": ("sum_max", "d_max"), "tsd": ("K_max", "a_max")}
-        for key in bounds.get(spec.kind, ()):
+        for key in bounds.get(spec.kind, ()) + ("matrix_cap",):
             value = getattr(spec, key)
             if value is not None and value < 1:
                 raise ValueError(f"grid field {key!r} must be at least 1, "
@@ -130,7 +131,8 @@ def _simplex(m: int, sum_max: int, nondecreasing: bool = False):
 
 class _OracleCache(dict):
     """Relation-degree values keyed by p and the sorted tuple (the oracle is
-    permutation symmetric; symmetry itself is checked separately on raw calls).
+    permutation symmetric; symmetry itself is checked separately on raw calls,
+    of which the call on the sorted tuple is this cache's own).
     `verify_e_grid` relies on these sorted keys to run its split-bound and
     unit-step checks once per multiset, not once per arrangement."""
 
@@ -237,7 +239,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                             "formula": res.value, "method": res.method,
                             "oracle": oracle_value})
                 # ceiling by the characteristic-zero value
-                if condition_char0(d):
+                if _condition_char0(d):
                     checks["char0_ceiling"] += 1
                     e0 = _char0_value(d)
                     if oracle_value > e0:
@@ -282,7 +284,9 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 checks["monotonicity"] += steps
                 if len(discrepancies) == found:
                     clean[key] = (splits, steps)
-            # permutation symmetry: raw oracle on every distinct rearrangement
+            # permutation symmetry: the raw oracle on every distinct
+            # rearrangement.  The sorted one is d itself, whose raw call is the
+            # very call `cache` makes on its sorted key, so it comes from there.
             if n in (2, 3):
                 limit = spec.symmetry_sum_max
                 if spec.sum_max is not None:
@@ -293,8 +297,8 @@ def verify_e_grid(spec: GridSpec) -> dict:
                             or not _box_feasible(d[1:], spec.matrix_cap)):
                         continue
                     checks["symmetry_classes"] += 1
-                    values = {perm: e_degree_oracle(p, perm,
-                                                    want_witness=False).value
+                    values = {perm: cache.value(p, d) if perm == d else
+                              e_degree_oracle(p, perm, want_witness=False).value
                               for perm in sorted(set(permutations(d)))}
                     if len(set(values.values())) != 1:
                         discrepancies.append({
@@ -330,7 +334,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             if spec.sum_max is None:
                 continue
             for d in _simplex(n + 1, spec.sum_max, nondecreasing=True):
-                if not condition_char0(d):
+                if not _condition_char0(d):
                     continue
                 enumerated += 1
                 if not _box_feasible(d, spec.matrix_cap):

@@ -163,6 +163,27 @@ def test_fthreshold_negative_converge_exits_1(tmp_path):
     assert proc.stderr.startswith("error: ") and "e_max" in proc.stderr
 
 
+def test_matrix_cap_below_one_exits_1(tmp_path, capsys):
+    # a cap below 1 would skip every row or point and exit 0 having checked
+    # nothing
+    for converge in ([], ["--converge", "2"]):
+        args = ["fthreshold", "--p", "3", "--a", "2", "--n", "2",
+                "--matrix-cap", "0", *converge]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == \
+            "error: --matrix-cap must be at least 1, got 0\n"
+    grid = tmp_path / "grid.json"
+    for doc in ({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6,
+                 "matrix_cap": 0},
+                {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
+                 "d_max": 4, "matrix_cap": -5}):
+        grid.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--grid", str(grid)]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid field 'matrix_cap' must be at least 1, "
+            f"got {doc['matrix_cap']}\n")
+
+
 def test_verify_command(tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"kind": "e", "p_list": [2], "n_list": [2],

@@ -72,6 +72,20 @@ def test_min_function_checks_its_prime_once(monkeypatch):
     assert calls == {"check_prime": 1, "check_box": 0}
 
 
+def test_main_form_checks_its_input_once(monkeypatch):
+    # applicability checks p and d; the split minimum and the char0 test
+    # that follow take the checked values as they are
+    calls = {"check_prime": 0, "check_box": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(formulas, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(formulas, name, counting)
+    assert ep_main(5, (6, 7, 11, 12)).value == 16
+    assert ep_main(7, (2, 3, 3, 4)).method == "char0"
+    assert calls == {"check_prime": 2, "check_box": 2}
+
+
 def test_splits_enumerate_in_product_order():
     # every epsilon in {0,1}^2, first coordinate major, with k + epsilon and
     # the remainders where epsilon is 0

@@ -243,9 +243,10 @@ def count_eliminations(monkeypatch):
     # U = 8 is the centre: the map from 8 decides 7, its dual, and gives
     # the witness
     (8191, (5, 5, 5, 5, 5, 5), 1),
-    # the map from 3 stands in for its dual from 2; kernels at 1 and 0, and
-    # the witness at 0 comes from the scan's own elimination
-    (2, (4, 4, 4, 4), 3),
+    # the map from 3 stands in for its dual from 2; a kernel at 1, and the
+    # one column of the map from 0 is read off f^4 = x1^4 + x2^4 + x3^4,
+    # which vanishes in the box, with no matrix: a kernel, and its witness
+    (2, (4, 4, 4, 4), 2),
 ])
 def test_scan_rank_count(monkeypatch, p, d, eliminations):
     calls = count_eliminations(monkeypatch)
@@ -255,15 +256,16 @@ def test_scan_rank_count(monkeypatch, p, d, eliminations):
 
 def test_scan_never_eliminates_a_dual_twice(monkeypatch):
     # every map the oracle eliminates is distinct, and none is the reversed
-    # transpose of another it eliminated, with or without a witness
+    # transpose of another it eliminated, with or without a witness; a call
+    # may eliminate nothing at all
     calls = []
-    real = oracle.mult_map
+    real = oracle._shift_matrix
 
-    def recording_mult_map(caps, src_degree, power, p):
+    def recording_shift_matrix(caps, src_degree, *rest):
         calls.append(src_degree)
-        return real(caps, src_degree, power, p)
+        return real(caps, src_degree, *rest)
 
-    monkeypatch.setattr(oracle, "mult_map", recording_mult_map)
+    monkeypatch.setattr(oracle, "_shift_matrix", recording_shift_matrix)
     for p in (2, 3, 5):
         for caps in itertools.combinations_with_replacement(range(1, 6), 3):
             mirror = top_degree(caps) - 2
@@ -273,7 +275,7 @@ def test_scan_never_eliminates_a_dual_twice(monkeypatch):
                 assert len(set(calls)) == len(calls), (p, caps, want, calls)
                 keys = [min(j, mirror - j) for j in calls]
                 distinct = len(set(keys))
-                if want and keys[-1] in keys[:-1]:
+                if want and keys and keys[-1] in keys[:-1]:
                     # only a witness at a degree whose rank came from its
                     # dual, eliminated higher up in the scan
                     assert calls[-1] == res.witness.degree < mirror - calls[-1]
@@ -281,12 +283,82 @@ def test_scan_never_eliminates_a_dual_twice(monkeypatch):
                 assert distinct == len(calls), (p, caps, want, calls)
 
 
-def test_wlp_profile_ranks_half_the_degrees(monkeypatch):
-    # (4, 4, 4, 4) has top 12: degrees 0..5 are ranked, 6..11 mirrored
+def test_wlp_profile_stops_at_the_first_injective_map(monkeypatch):
+    # (4, 4, 4, 4) has top 12: degrees 6..11 mirror 5..0, and the scan runs
+    # down from 5.  Mod 3 the map from 5 is injective, so 4..0 are too, and
+    # one elimination decides the box; mod 2 the first injective map is the
+    # one from 2, the fourth ranked
     calls = count_eliminations(monkeypatch)
     report = wlp_rank_profile(3, (4, 4, 4, 4))
-    assert len(calls) == 6
-    assert len(report.records) == 12
+    assert len(calls) == 1
+    assert len(report.records) == 12 and report.verdict
+    calls.clear()
+    report = wlp_rank_profile(2, (4, 4, 4, 4))
+    assert [cols for _, cols in calls] == [40, 31, 20, 10]
+    assert len(report.records) == 12 and not report.verdict
+
+
+def reference_wlp_records(p, caps):
+    """One record per degree, each ranked on its own matrix."""
+    h = hilbert_function(caps)
+    return tuple(oracle.WlpRecord(degree=i, dim_source=h[i],
+                                  dim_target=h[i + 1],
+                                  rank=rank(mult_map(caps, i, 1, p)))
+                 for i in range(top_degree(caps)))
+
+
+def test_wlp_profile_matches_ranking_every_degree():
+    for p in (2, 3, 5, 7):
+        for m in (2, 3, 4):
+            for caps in itertools.combinations_with_replacement(
+                    range(1, 6), m):
+                report = wlp_rank_profile(p, caps)
+                want = reference_wlp_records(p, caps)
+                assert report.records == want, (p, caps)
+                assert report.verdict == all(r.maximal for r in want)
+
+
+def reference_e_result(p, d, want_witness):
+    """`EResult.to_dict()` of d by ranking every degree on the full box,
+    unit caps included, and reading the witness off the decisive map."""
+    caps, power = d[:-1], d[-1]
+    value = brute_e_degree(p, d)
+    witness = None
+    if want_witness:
+        _, coeffs = linalg.kernel_witness(
+            mult_map(caps, value - power, power, p))
+        witness = {"degree": value - power, "terms": oracle.KernelWitness(
+            box=caps, degree=value - power, coefficients=coeffs).terms()}
+    return {"value": value, "method": "oracle",
+            "degenerate": power > top_degree(caps), "witness": witness}
+
+
+def test_unit_caps_match_the_full_box():
+    # a cap of 1 kills its variable; the oracle drops it, and must give the
+    # values and witnesses of ranking on the full box
+    for p in (2, 3, 5, 7):
+        for m in (2, 3, 4):
+            for caps in itertools.product(range(1, 5), repeat=m):
+                if 1 not in caps:
+                    continue
+                for power in range(1, 7):
+                    d = caps + (power,)
+                    for want in (False, True):
+                        assert e_degree_oracle(p, d, want).to_dict() == \
+                            reference_e_result(p, d, want), (p, d, want)
+
+
+def test_degree_zero_map_is_read_off_its_column(monkeypatch):
+    # the map from degree 0 sends 1 to f^power: over F_2, f^2 = x1^2 + x2^2
+    # + x3^2 vanishes on the box (2, 2, 2), so 1 is the kernel witness;
+    # over F_3 the cross terms 2*x_i*x_j survive and the map is injective
+    calls = count_eliminations(monkeypatch)
+    res = e_degree_oracle(2, (2, 2, 2, 2))
+    assert res.value == 2
+    assert res.witness.degree == 0 and res.witness.terms() == ["1"]
+    calls.clear()
+    assert e_degree_oracle(3, (2, 2, 2, 2), want_witness=False).value == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -487,6 +559,25 @@ def test_mult_map_checks_its_prime_once(monkeypatch):
     oracle._power_terms.cache_clear()
     mult_map((3, 4, 5), 2, 5, 11)
     assert calls == [11]
+
+
+def test_relation_degree_checks_its_tuple_once(monkeypatch):
+    # the matrices come from `_shift_matrix` on the checked live box, not
+    # from the public `mult_map`, so only the entry point checks the tuple
+    calls = []
+    check_box = monomials.check_box
+
+    def counting_check_box(caps):
+        calls.append(tuple(caps))
+        return check_box(caps)
+
+    monkeypatch.setattr(oracle, "check_box", counting_check_box)
+    monkeypatch.setattr(monomials, "check_box", counting_check_box)
+    e_degree_oracle(3, (3, 1, 4, 5, 6))
+    assert calls == [(3, 1, 4, 5, 6)]
+    calls.clear()
+    wlp_rank_profile(2, (4, 4, 4, 4))
+    assert calls == [(4, 4, 4, 4)]
 
 
 def test_nu_values():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nonkoszul import verify
+from nonkoszul import linalg, verify
 from nonkoszul.formulas import condition_char0
 from nonkoszul.monomials import _hilbert_cached
 from nonkoszul.oracle import wlp_rank_profile
@@ -94,6 +94,37 @@ def test_e_grid_symmetry_section_honours_matrix_cap():
                        "sum_max": 8, "matrix_cap": 1})
     assert report["totals"]["skipped"] == 20
     assert report["checks"]["symmetry_classes"] == 6
+
+
+def test_grid_eliminations_are_pinned(monkeypatch):
+    # exact elimination counts of two small grids; the parent of the
+    # degree-0, unit-cap and first-injective-map rules took 298 and 97
+    calls = []
+    echelon = linalg._echelon
+
+    def counting_echelon(a, p):
+        calls.append(a.shape)
+        return echelon(a, p)
+
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    counts = []
+    for doc in ({"kind": "e", "p_list": [3], "n_list": [2, 3], "sum_max": 10},
+                {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 12,
+                 "d_max": 4}):
+        calls.clear()
+        assert run_grid(doc)["totals"]["discrepancies"] == 0
+        counts.append(len(calls))
+    assert counts == [140, 47]
+
+
+def test_grid_matrix_cap_below_one_is_refused():
+    # a cap below 1 would skip every point and check nothing
+    for doc in ({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6,
+                 "matrix_cap": 0},
+                {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
+                 "d_max": 4, "matrix_cap": -5}):
+        with pytest.raises(ValueError, match="'matrix_cap' must be at least 1"):
+            run_grid(doc)
 
 
 def test_e_grid_two_degrees_is_oracle_only():
