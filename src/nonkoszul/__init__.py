@@ -5,10 +5,10 @@ separate modules so each can check the other.  Public functions check their
 arguments; underscore helpers take arguments their caller has checked."""
 
 from .formulas import (ApplicabilityReport, FThresholdResult,
-                       NotApplicableError, applicability, condition_char0,
-                       ep_dispatch, ep_han, ep_main, fthreshold_formula,
-                       frac_str, min_function, tsd_formula, wlp_classify_n3,
-                       wlp_classify_n4, wlp_criterion, wlp_feasibility_filter)
+                       NotApplicableError, applicability, ep_dispatch, ep_han,
+                       ep_main, fthreshold_formula, frac_str, tsd_formula,
+                       wlp_classify_n3, wlp_classify_n4, wlp_criterion,
+                       wlp_feasibility_filter)
 from .linalg import MatrixFp, kernel_witness, rank
 from .modp import check_prime, is_prime, largest_power_leq
 from .monomials import slice_array
@@ -25,10 +25,10 @@ __all__ = [
     "ApplicabilityReport", "EResult", "FThresholdResult", "GridSpec",
     "KernelWitness", "MatrixFp", "NotApplicableError", "WlpRecord",
     "WlpReport", "applicability", "canonical_json", "check_prime",
-    "condition_char0", "e_degree_oracle", "ep_dispatch",
+    "e_degree_oracle", "ep_dispatch",
     "ep_han", "ep_main", "frac_str", "fthreshold_convergence",
     "fthreshold_formula", "is_prime", "kernel_witness", "largest_power_leq",
-    "min_function", "mult_map", "rank", "run_grid", "slice_array",
+    "mult_map", "rank", "run_grid", "slice_array",
     "socle_degree_oracle", "tsd_formula",
     "verify_e_grid", "verify_tsd_grid", "verify_wlp_grid", "wlp_classify_n3",
     "wlp_classify_n4", "wlp_criterion", "wlp_feasibility_filter",

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 invalid input, a file that cannot be read or
-written, or a box whose largest graded piece exceeds the dense-matrix cap
-(`_refuse_oversized`); 2 a closed formula declined the input (structured
-NotApplicable document, never a wrong number).
+written, or a dense matrix whose side would exceed `oracle.MATRIX_CAP`;
+2 a closed formula declined the input (structured NotApplicable document,
+never a wrong number).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import sys
 
 from .formulas import (NotApplicableError, _refused_minimum, ep_dispatch,
                        fthreshold_formula, tsd_formula)
-from .oracle import socle_degree_oracle, wlp_rank_profile
-from .verify import (MATRIX_CAP, _box_feasible, _simplex, canonical_json,
-                     discrepancies_csv, fthreshold_convergence, run_grid)
+from .oracle import MATRIX_CAP, socle_degree_oracle, wlp_rank_profile
+from .verify import (_simplex, canonical_json, discrepancies_csv,
+                     fthreshold_convergence, run_grid)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,18 +127,7 @@ def _format_e_plain(doc: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def _refuse_oversized(box: tuple[int, ...]) -> None:
-    """Refuse, before any matrix is built, a box whose largest graded piece
-    exceeds MATRIX_CAP: the rank oracles build dense matrices on it.  A box
-    with an entry below 1 passes on to the oracle's own check."""
-    if min(box, default=1) >= 1 and not _box_feasible(box, MATRIX_CAP):
-        raise ValueError(f"box {box} has a graded piece larger than "
-                         f"{MATRIX_CAP}, the dense-matrix cap")
-
-
 def _cmd_e(args) -> tuple[str, int]:
-    if args.method == "oracle":
-        _refuse_oversized(args.d[:-1])
     doc = {"p": args.p, "d": list(args.d)}
     try:
         res = ep_dispatch(args.p, args.d, args.method)
@@ -155,7 +144,6 @@ def _cmd_e(args) -> tuple[str, int]:
 
 
 def _cmd_wlp(args) -> tuple[str, int]:
-    _refuse_oversized(args.d)
     report = wlp_rank_profile(args.p, args.d)
     if args.format == "plain":
         lines = [f"WLP for d=({','.join(map(str, args.d))}) mod {args.p}: "
@@ -169,8 +157,6 @@ def _cmd_wlp(args) -> tuple[str, int]:
 
 
 def _cmd_tsd(args) -> tuple[str, int]:
-    if args.check:
-        _refuse_oversized(args.K)
     value = tsd_formula(args.p, args.K, args.a)
     doc = {"p": args.p, "K": list(args.K), "a": args.a, "value": value}
     if args.check:
@@ -191,6 +177,10 @@ def _cmd_fthreshold(args) -> tuple[str, int]:
     if args.matrix_cap < 1:
         # every row would be skipped, so the table would check nothing
         raise ValueError(f"--matrix-cap must be at least 1, "
+                         f"got {args.matrix_cap}")
+    if args.matrix_cap > MATRIX_CAP:
+        # the builder would refuse the rows this cap admits above its own
+        raise ValueError(f"--matrix-cap must be at most {MATRIX_CAP}, "
                          f"got {args.matrix_cap}")
     res = fthreshold_formula(args.p, args.a, args.n)
     doc = res.to_dict()

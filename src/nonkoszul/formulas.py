@@ -33,16 +33,11 @@ def _char0_value(d: tuple[int, ...]) -> int:
 
 
 def _condition_char0(d: tuple[int, ...]) -> bool:
-    """`condition_char0` on a checked tuple."""
+    """The characteristic-zero hypothesis on a checked tuple: no d_i exceeds
+    the sum of the co-degrees, d_i <= sum_{j != i} (d_j - 1)."""
     n = len(d) - 1
     total = sum(d)
     return all(2 * di <= total - n for di in d)
-
-
-def condition_char0(d) -> bool:
-    """The characteristic-zero hypothesis: no d_i exceeds the sum of the
-    co-degrees, d_i <= sum_{j != i} (d_j - 1)."""
-    return _condition_char0(check_box(d))
 
 
 def _ep_base(p: int, kappa: tuple[int, ...]) -> int:
@@ -93,25 +88,12 @@ def _splits(k, r):
         yield eps, tuple(map(add, k, eps)), sum(compress(r, map(not_, eps)))
 
 
-def min_function(p: int, q: int, k, r) -> int:
-    """min over epsilon in {0,1}^(n+1) of q*_ep_base(k + epsilon) plus the
-    remainders at the coordinates where epsilon is 0."""
-    check_prime(p)
-    k = tuple(int(x) for x in k)
-    r = tuple(int(x) for x in r)
-    if len(k) != len(r):
-        raise ValueError("k and r must have the same length")
-    if any(x < 1 for x in k) or any(not 0 <= x < q for x in r):
-        raise ValueError("need k_i >= 1 and 0 <= r_i < q")
-    if any(ki + 1 > p for ki in k):
-        raise NotApplicableError(("main_thm_k_range",))
-    return _split_minimum(p, q, k, r)
-
-
 def _split_minimum(p: int, q: int, k: tuple[int, ...],
                    r: tuple[int, ...]) -> int:
-    """`min_function` on checked input: p prime, every k_i in [1, p - 1] and
-    every r_i in [0, q), so every entry of k + epsilon lies in [1, p]."""
+    """min over epsilon in {0,1}^(n+1) of q*_ep_base(k + epsilon) plus the
+    remainders at the coordinates where epsilon is 0.  The caller has checked
+    that p is prime, every k_i lies in [1, p - 1] and every r_i in [0, q), so
+    every entry of k + epsilon lies in [1, p]."""
     return min(q * _ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
 
 
@@ -138,9 +120,9 @@ def ep_main(p: int, d) -> EResult:
 
 
 def _refused_minimum(p: int, d) -> int | None:
-    """The split minimum reported beside a refused closed form: `min_function`
-    on the base-q split of d, or None when d has fewer than four degrees or
-    some k_i lies outside [1, p - 1]."""
+    """The split minimum reported beside a refused closed form:
+    `_split_minimum` on the base-q split of d, or None when d has fewer than
+    four degrees or some k_i lies outside [1, p - 1]."""
     if len(d) < 4:
         return None
     rep = applicability(p, d)

@@ -22,6 +22,8 @@ from .linalg import MatrixFp, kernel_witness, rank
 from .modp import check_prime
 from .monomials import _hilbert_cached, _slice_cached, check_box
 
+MATRIX_CAP = 5000    # bound on each side of a dense multiplication matrix
+
 
 @lru_cache(maxsize=4096)
 def _power_terms(caps: tuple[int, ...], power: int, p: int):
@@ -54,9 +56,19 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
     that slice has fewer than 8 x the target slice's monomials, and never
     above the square of the box's largest graded piece.
 
+    Each side is at most MATRIX_CAP, so the int64 matrix is at most 200 MB
+    and `rank`'s working copy doubles that.  A source or target slice above
+    the cap, read off the Hilbert function, raises ValueError before either
+    slice is listed.
+
     The caller has checked that p is prime and every coefficient is a
     residue in [1, p), so the matrix is wrapped without a second check.
     """
+    H = _hilbert_cached(caps)
+    if any(0 <= j < len(H) and H[j] > MATRIX_CAP
+           for j in (src_degree, src_degree + degree)):
+        raise ValueError(f"box {caps} has a graded piece larger than "
+                         f"{MATRIX_CAP}, the dense-matrix cap")
     src = _slice_cached(caps, src_degree)
     tgt = _slice_cached(caps, src_degree + degree)
     mat = np.zeros((len(tgt), len(src)), dtype=np.int64)

@@ -22,16 +22,14 @@ from .formulas import (NotApplicableError, _char0_value, _condition_char0,
                        wlp_feasibility_filter)
 from .modp import check_prime
 from .monomials import _hilbert_cached
-from .oracle import e_degree_oracle, socle_degree_oracle, wlp_rank_profile
+from .oracle import (MATRIX_CAP, e_degree_oracle, socle_degree_oracle,
+                     wlp_rank_profile)
 
 
 def canonical_json(doc) -> str:
     """Stable rendering: sorted keys, no whitespace, trailing newline."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True) + "\n"
-
-
-MATRIX_CAP = 5000    # default bound on the largest graded piece of a box
 
 
 def _is_int(value) -> bool:
@@ -108,6 +106,11 @@ class GridSpec:
             if value is not None and value < 1:
                 raise ValueError(f"grid field {key!r} must be at least 1, "
                                  f"got {value}")
+        # the builder refuses a matrix above MATRIX_CAP, so a larger cap
+        # would admit points that stop the run halfway
+        if spec.matrix_cap > MATRIX_CAP:
+            raise ValueError(f"grid field 'matrix_cap' must be at most "
+                             f"{MATRIX_CAP}, got {spec.matrix_cap}")
         return spec
 
     def to_dict(self) -> dict:

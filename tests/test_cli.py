@@ -10,7 +10,7 @@ import nonkoszul
 from nonkoszul import cli, oracle
 from nonkoszul.monomials import slice_array
 from nonkoszul.oracle import mult_map
-from nonkoszul.verify import MATRIX_CAP, canonical_json
+from nonkoszul.verify import MATRIX_CAP, GridSpec, canonical_json
 
 CMD = [sys.executable, "-m", "nonkoszul.cli"]
 # the child interpreter imports the same package the tests import
@@ -163,25 +163,35 @@ def test_fthreshold_negative_converge_exits_1(tmp_path):
     assert proc.stderr.startswith("error: ") and "e_max" in proc.stderr
 
 
-def test_matrix_cap_below_one_exits_1(tmp_path, capsys):
+def test_matrix_cap_out_of_range_exits_1(tmp_path, capsys):
     # a cap below 1 would skip every row or point and exit 0 having checked
-    # nothing
-    for converge in ([], ["--converge", "2"]):
-        args = ["fthreshold", "--p", "3", "--a", "2", "--n", "2",
-                "--matrix-cap", "0", *converge]
-        assert cli.main(args) == 1
-        assert capsys.readouterr().err == \
-            "error: --matrix-cap must be at least 1, got 0\n"
+    # nothing; a cap above the builder's would stop the run halfway
+    for cap, bound in (("0", "at least 1"), ("5001", "at most 5000")):
+        for converge in ([], ["--converge", "2"]):
+            args = ["fthreshold", "--p", "3", "--a", "2", "--n", "2",
+                    "--matrix-cap", cap, *converge]
+            assert cli.main(args) == 1
+            assert capsys.readouterr().err == \
+                f"error: --matrix-cap must be {bound}, got {cap}\n"
     grid = tmp_path / "grid.json"
-    for doc in ({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6,
-                 "matrix_cap": 0},
-                {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
-                 "d_max": 4, "matrix_cap": -5}):
+    for doc, bound in (({"kind": "e", "p_list": [2], "n_list": [2],
+                         "sum_max": 6, "matrix_cap": 0}, "at least 1"),
+                       ({"kind": "wlp", "p_list": [2], "n_list": [3],
+                         "sum_max": 8, "d_max": 4, "matrix_cap": -5},
+                        "at least 1"),
+                       ({"kind": "tsd", "p_list": [2], "n_list": [2],
+                         "K_max": 3, "a_max": 2, "matrix_cap": 5001},
+                        "at most 5000")):
         grid.write_text(json.dumps(doc))
         assert cli.main(["verify", "--grid", str(grid)]) == 1
         assert capsys.readouterr().err == (
-            "error: grid field 'matrix_cap' must be at least 1, "
+            f"error: grid field 'matrix_cap' must be {bound}, "
             f"got {doc['matrix_cap']}\n")
+    # both defaults are the builder's cap itself
+    args = cli._build_parser().parse_args(
+        ["fthreshold", "--p", "3", "--a", "2", "--n", "2"])
+    assert args.matrix_cap == oracle.MATRIX_CAP
+    assert GridSpec(kind="e").matrix_cap == oracle.MATRIX_CAP
 
 
 def test_verify_command(tmp_path):
@@ -298,6 +308,10 @@ def test_single_fault_error_line(args, line, capsys):
      "30, 30, 30, 30"),
     (["tsd", "--p", "3", "--K", "30,30,30,30", "--a", "2", "--check"],
      "30, 30, 30, 30"),
+    # the formulas decline these, and the fallback oracle meets the cap
+    (["e", "--p", "5", "--d", "40,40,40,40,1"], "40, 40, 40, 40"),
+    (["tsd", "--p", "5", "--K", "40,40,40,40,1", "--a", "1"],
+     "40, 40, 40, 40"),
 ])
 def test_dense_routes_refuse_oversized_boxes(args, box, capsys, monkeypatch):
     # (30, 30, 30, 30) has a graded piece of 18,010 monomials, above the
@@ -306,8 +320,7 @@ def test_dense_routes_refuse_oversized_boxes(args, box, capsys, monkeypatch):
     def no_matrix(*_):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(oracle, "mult_map", no_matrix)
-    monkeypatch.setattr(oracle, "_shift_matrix", no_matrix)
+    monkeypatch.setattr(oracle.MatrixFp, "_trusted", no_matrix)
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
         f"error: box ({box}) has a graded piece larger than {MATRIX_CAP}, "
@@ -317,12 +330,24 @@ def test_dense_routes_refuse_oversized_boxes(args, box, capsys, monkeypatch):
 def test_dense_route_cap_is_inclusive(capsys, monkeypatch):
     # (3, 3, 3) peaks at 7 monomials: a cap of 7 admits it, 6 refuses it
     args = ["wlp", "--p", "3", "--d", "3,3,3"]
-    monkeypatch.setattr(cli, "MATRIX_CAP", 7)
+    monkeypatch.setattr(oracle, "MATRIX_CAP", 7)
     assert cli.main(args) == 0
     assert len(json.loads(capsys.readouterr().out)["profile"]) == 6
-    monkeypatch.setattr(cli, "MATRIX_CAP", 6)
+    monkeypatch.setattr(oracle, "MATRIX_CAP", 6)
     assert cli.main(args) == 1
     assert "larger than 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["auto", "oracle"])
+def test_degenerate_tuple_on_an_oversized_box_answers(method, capsys):
+    # f^1000 vanishes on (40, 40, 40, 40), whose top degree is 156: the
+    # answer needs no matrix, so the cap on matrices does not refuse it
+    args = ["e", "--p", "5", "--d", "40,40,40,40,1000", "--method", method]
+    assert cli.main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["method"], doc["degenerate"]) == \
+        (1000, "oracle", True)
+    assert doc["witness"] == {"degree": 0, "terms": ["1"]}
 
 
 def test_table_csv():

@@ -11,16 +11,16 @@ from nonkoszul.formulas import (
     NotApplicableError,
     _char0_value,
     _ep_base,
+    _condition_char0,
     _refused_minimum,
+    _split_minimum,
     _splits,
     applicability,
-    condition_char0,
     ep_dispatch,
     ep_han,
     ep_main,
     frac_str,
     fthreshold_formula,
-    min_function,
     tsd_formula,
     wlp_classify_n3,
     wlp_classify_n4,
@@ -33,10 +33,10 @@ from nonkoszul.verify import canonical_json
 
 
 def test_condition_char0():
-    assert condition_char0((6, 7, 11, 12))
-    assert condition_char0((2, 2, 2))
-    assert not condition_char0((2, 2, 9))
-    assert not condition_char0((1, 1, 3))
+    assert _condition_char0((6, 7, 11, 12))
+    assert _condition_char0((2, 2, 2))
+    assert not _condition_char0((2, 2, 9))
+    assert not _condition_char0((1, 1, 3))
 
 
 def test_e0_values():
@@ -54,22 +54,10 @@ def test_ep_base_values():
 
 
 def test_min_function_worked_cases():
-    assert min_function(5, 5, (1, 1, 2, 2), (1, 2, 1, 2)) == 16
-    assert min_function(5, 5, (1, 1, 1, 3), (2, 2, 2, 3)) == 20
+    assert _split_minimum(5, 5, (1, 1, 2, 2), (1, 2, 1, 2)) == 16
+    assert _split_minimum(5, 5, (1, 1, 1, 3), (2, 2, 2, 3)) == 20
     # all remainders zero: epsilon = 0 dominates and the value is q * base
-    assert min_function(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * _ep_base(3, (1, 1, 1, 1))
-
-
-def test_min_function_checks_its_prime_once(monkeypatch):
-    # the split terms go to the unchecked _ep_base, not through the checks
-    calls = {"check_prime": 0, "check_box": 0}
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(formulas, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(formulas, name, counting)
-    assert min_function(3, 3, (1,) * 5, (0,) * 5) == 3 * _ep_base(3, (1,) * 5)
-    assert calls == {"check_prime": 1, "check_box": 0}
+    assert _split_minimum(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * _ep_base(3, (1, 1, 1, 1))
 
 
 def test_main_form_checks_its_input_once(monkeypatch):
@@ -139,12 +127,6 @@ def test_applicability_matches_per_entry_powers():
                 reference(p, d), (p, d)
 
 
-def test_min_function_rejects_k_out_of_range():
-    with pytest.raises(NotApplicableError) as info:
-        min_function(3, 3, (1, 3, 1, 1), (0, 0, 0, 0))
-    assert "main_thm_k_range" in info.value.failing
-
-
 def test_applicability_flags():
     rep = applicability(5, (6, 7, 11, 12))
     assert rep.q == 5 and rep.e == 1
@@ -187,7 +169,7 @@ def test_ep_main_char0_tag():
     # q = 1 with the characteristic-zero condition and a large enough p
     res = ep_main(7, (3, 3, 3, 3))
     assert res.method == "char0"
-    assert condition_char0((3, 3, 3, 3))
+    assert _condition_char0((3, 3, 3, 3))
     assert res.value == _char0_value((3, 3, 3, 3))
 
 

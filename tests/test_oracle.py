@@ -420,6 +420,9 @@ def test_rejects_bad_input():
         e_degree_oracle(3, (2, 0, 2))
     with pytest.raises(ValueError):
         e_degree_oracle(3, ())
+    # the middle slices of (30, 30, 30, 30) exceed the dense-matrix cap
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        mult_map((30, 30, 30, 30), 57, 1, 3)
 
 
 def test_wlp_rank_profile_verdicts():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from nonkoszul import linalg, verify
-from nonkoszul.formulas import condition_char0
+from nonkoszul.formulas import _condition_char0
 from nonkoszul.monomials import _hilbert_cached
 from nonkoszul.oracle import wlp_rank_profile
 from nonkoszul.verify import (
@@ -117,14 +117,19 @@ def test_grid_eliminations_are_pinned(monkeypatch):
     assert counts == [140, 47]
 
 
-def test_grid_matrix_cap_below_one_is_refused():
-    # a cap below 1 would skip every point and check nothing
+def test_grid_matrix_cap_out_of_range_is_refused():
+    # a cap below 1 would skip every point and check nothing; one above the
+    # builder's cap would admit points the builder refuses
     for doc in ({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6,
                  "matrix_cap": 0},
                 {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
                  "d_max": 4, "matrix_cap": -5}):
         with pytest.raises(ValueError, match="'matrix_cap' must be at least 1"):
             run_grid(doc)
+    with pytest.raises(ValueError, match="'matrix_cap' must be at most "
+                                         "5000, got 5001"):
+        run_grid({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6,
+                  "matrix_cap": 5001})
 
 
 def test_e_grid_two_degrees_is_oracle_only():
@@ -168,7 +173,7 @@ def test_wlp_verdict_matches_rank_profile():
         for m, side in ((2, 9), (3, 6), (4, 4)):
             for d in itertools.combinations_with_replacement(
                     range(1, side + 1), m):
-                outside += not condition_char0(d)
+                outside += not _condition_char0(d)
                 assert verify._wlp_verdict(p, d, cache) == \
                     wlp_rank_profile(p, d).verdict, (p, d)
     assert outside == 279
