@@ -25,6 +25,16 @@ from .monomials import _hilbert_cached, _slice_cached, check_box
 MATRIX_CAP = 5000    # bound on each side of a dense multiplication matrix
 
 
+def _check_pieces(caps: tuple[int, ...], *degrees: int) -> None:
+    """Raise ValueError for a degree slice of the box above MATRIX_CAP
+    monomials, read off the Hilbert function; degrees outside [0, top]
+    have empty slices."""
+    H = _hilbert_cached(caps)
+    if any(0 <= j < len(H) and H[j] > MATRIX_CAP for j in degrees):
+        raise ValueError(f"box {caps} has a graded piece larger than "
+                         f"{MATRIX_CAP}, the dense-matrix cap")
+
+
 @lru_cache(maxsize=4096)
 def _power_terms(caps: tuple[int, ...], power: int, p: int):
     """Monomials of f^power that survive both mod p and the box, with their
@@ -33,7 +43,9 @@ def _power_terms(caps: tuple[int, ...], power: int, p: int):
     The coefficient of x^a is power!/prod(a_i!) = prod_i C(a_1+...+a_i, a_i),
     taken as an exact integer and reduced once.  It has up to power*log2(m)
     bits, so large powers cost more: (3000, 3000) at power 2999 takes 0.5 s.
+    The terms, the degree `power` slice, are held to MATRIX_CAP.
     """
+    _check_pieces(caps, power)
     comps = _slice_cached(caps, power)
     coeffs = [math.prod(map(math.comb, accumulate(row), row)) % p
               for row in comps.tolist()]
@@ -53,22 +65,16 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
     terms send a source to distinct targets, so no entry is written twice.
     The mask holds terms x sources bytes.  The terms are at most the degree
     `degree` slice, so the mask is smaller than the int64 matrix whenever
-    that slice has fewer than 8 x the target slice's monomials, and never
-    above the square of the box's largest graded piece.
+    that slice has fewer than 8 x the target slice's monomials.
 
-    Each side is at most MATRIX_CAP, so the int64 matrix is at most 200 MB
-    and `rank`'s working copy doubles that.  A source or target slice above
-    the cap, read off the Hilbert function, raises ValueError before either
-    slice is listed.
+    `_check_pieces` holds each side, and `_power_terms` its terms, to
+    MATRIX_CAP before any is listed: the int64 matrix is at most 200 MB,
+    `rank`'s working copy doubles that, and the mask is at most 25 MB.
 
     The caller has checked that p is prime and every coefficient is a
     residue in [1, p), so the matrix is wrapped without a second check.
     """
-    H = _hilbert_cached(caps)
-    if any(0 <= j < len(H) and H[j] > MATRIX_CAP
-           for j in (src_degree, src_degree + degree)):
-        raise ValueError(f"box {caps} has a graded piece larger than "
-                         f"{MATRIX_CAP}, the dense-matrix cap")
+    _check_pieces(caps, src_degree, src_degree + degree)
     src = _slice_cached(caps, src_degree)
     tgt = _slice_cached(caps, src_degree + degree)
     mat = np.zeros((len(tgt), len(src)), dtype=np.int64)

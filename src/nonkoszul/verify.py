@@ -106,12 +106,14 @@ class GridSpec:
             if value is not None and value < 1:
                 raise ValueError(f"grid field {key!r} must be at least 1, "
                                  f"got {value}")
+        return spec
+
+    def __post_init__(self):
         # the builder refuses a matrix above MATRIX_CAP, so a larger cap
         # would admit points that stop the run halfway
-        if spec.matrix_cap > MATRIX_CAP:
+        if self.matrix_cap > MATRIX_CAP:
             raise ValueError(f"grid field 'matrix_cap' must be at most "
-                             f"{MATRIX_CAP}, got {spec.matrix_cap}")
-        return spec
+                             f"{MATRIX_CAP}, got {self.matrix_cap}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "p_list": sorted(self.p_list),
@@ -452,6 +454,9 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     """
     if e_max < 0:
         raise ValueError(f"need e_max >= 0, got {e_max}")
+    if matrix_cap > MATRIX_CAP:
+        raise ValueError(f"matrix_cap must be at most {MATRIX_CAP}, "
+                         f"got {matrix_cap}")
     result = fthreshold_formula(p, a, n)
     rows = []
     devs: list[Fraction] = []

@@ -8,7 +8,7 @@ import pytest
 
 import nonkoszul
 from nonkoszul import cli, oracle
-from nonkoszul.monomials import slice_array
+from nonkoszul.monomials import _hilbert_cached, slice_array
 from nonkoszul.oracle import mult_map
 from nonkoszul.verify import MATRIX_CAP, GridSpec, canonical_json
 
@@ -312,15 +312,24 @@ def test_single_fault_error_line(args, line, capsys):
     (["e", "--p", "5", "--d", "40,40,40,40,1"], "40, 40, 40, 40"),
     (["tsd", "--p", "5", "--K", "40,40,40,40,1", "--a", "1"],
      "40, 40, 40, 40"),
+    # the terms of f^72 are the degree 72 piece, 485,250 monomials
+    (["e", "--p", "5", "--d", "30,30,30,30,30,72", "--method", "oracle"],
+     "30, 30, 30, 30, 30"),
 ])
 def test_dense_routes_refuse_oversized_boxes(args, box, capsys, monkeypatch):
     # (30, 30, 30, 30) has a graded piece of 18,010 monomials, above the
     # cap, and a cap of 1 adds no monomial: refused with exit 1 before any
-    # matrix is built
+    # matrix is built or any piece above the cap is listed
     def no_matrix(*_):
         raise AssertionError("a matrix was built")
 
+    def small_slice(caps, degree, slice_=oracle._slice_cached):
+        H = _hilbert_cached(caps)
+        assert not 0 <= degree < len(H) or H[degree] <= MATRIX_CAP
+        return slice_(caps, degree)
+
     monkeypatch.setattr(oracle.MatrixFp, "_trusted", no_matrix)
+    monkeypatch.setattr(oracle, "_slice_cached", small_slice)
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
         f"error: box ({box}) has a graded piece larger than {MATRIX_CAP}, "

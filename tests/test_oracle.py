@@ -425,6 +425,25 @@ def test_rejects_bad_input():
         mult_map((30, 30, 30, 30), 57, 1, 3)
 
 
+def test_power_terms_are_held_to_the_cap(monkeypatch):
+    # the terms of f^power are the degree `power` piece, refused above the
+    # cap before it is listed, even when both sides of the matrix fit
+    def small_slice(caps, degree, slice_=oracle._slice_cached):
+        H = _hilbert_cached(caps)
+        assert not 0 <= degree < len(H) or H[degree] <= oracle.MATRIX_CAP
+        return slice_(caps, degree)
+
+    monkeypatch.setattr(oracle, "_slice_cached", small_slice)
+    # sides of 3 and 4,950 monomials, terms of 5,050
+    H = _hilbert_cached((100, 100, 100))
+    assert (H[1], H[198], H[199]) == (3, 5050, 4950)
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        mult_map((100, 100, 100), 1, 198, 3)
+    # a degree 87 piece of about 13.7 million monomials
+    with pytest.raises(ValueError, match="dense-matrix cap"):
+        e_degree_oracle(5, (30,) * 6 + (87,))
+
+
 def test_wlp_rank_profile_verdicts():
     report = wlp_rank_profile(2, (2, 2, 2))
     assert report.verdict is False

@@ -130,6 +130,14 @@ def test_grid_matrix_cap_out_of_range_is_refused():
                                          "5000, got 5001"):
         run_grid({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6,
                   "matrix_cap": 5001})
+    # the same bound holds for a spec built directly and for the public
+    # convergence table, where (83, 83, 83), a piece of 5,167, would pass
+    with pytest.raises(ValueError, match="'matrix_cap' must be at most "
+                                         "5000, got 5001"):
+        GridSpec(kind="tsd", matrix_cap=5001)
+    with pytest.raises(ValueError, match="matrix_cap must be at most "
+                                         "5000, got 6000"):
+        fthreshold_convergence(83, 2, 2, 1, matrix_cap=6000)
 
 
 def test_e_grid_two_degrees_is_oracle_only():
