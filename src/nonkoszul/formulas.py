@@ -80,11 +80,13 @@ def applicability(p: int, d) -> ApplicabilityReport:
         failing=tuple(name for name, holds in flags if not holds))
 
 
-def _splits(k, r):
+def _splits(k, r, every: bool = True):
     """The terms of a base-q split d = kq + r: for each epsilon in
     {0,1}^len(k), in `product` order, yield (epsilon, k + epsilon, the sum
-    of the r_i where epsilon_i = 0)."""
-    for eps in product((0, 1), repeat=len(k)):
+    of the r_i where epsilon_i = 0).  Unless `every`, only the epsilon with
+    epsilon_i = 0 wherever r_i = 0."""
+    steps = [(0, 1) if every or ri else (0,) for ri in r]
+    for eps in product(*steps):
         yield eps, tuple(map(add, k, eps)), sum(compress(r, map(not_, eps)))
 
 
@@ -93,8 +95,15 @@ def _split_minimum(p: int, q: int, k: tuple[int, ...],
     """min over epsilon in {0,1}^(n+1) of q*_ep_base(k + epsilon) plus the
     remainders at the coordinates where epsilon is 0.  The caller has checked
     that p is prime, every k_i lies in [1, p - 1] and every r_i in [0, q), so
-    every entry of k + epsilon lies in [1, p]."""
-    return min(q * _ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
+    every entry of k + epsilon lies in [1, p].
+
+    Only the epsilon with epsilon_i = 0 wherever r_i = 0 can win, so only
+    those are formed.  Setting such an epsilon_i to 1 leaves the remainder sum
+    as it is and raises entry i of k + epsilon, and `_ep_base` is
+    nondecreasing in each entry: it is the larger of the largest entry and
+    min(ceil((sum - n + 1)/2), p), both nondecreasing in every entry."""
+    return min(q * _ep_base(p, kk) + rest
+               for _, kk, rest in _splits(k, r, every=False))
 
 
 def ep_main(p: int, d) -> EResult:
@@ -203,7 +212,9 @@ def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     top degree is a*(|c| - m + 1 - E(c)) + |r|, which is the term
     sum(K) - m + a - a*E(c) - (the e_i where eps_i = 0).
 
-    Each E(c) comes from `ep_dispatch` by the route `method`."""
+    Since eps_i = 1 needs r_i < e_i, no block has eps_i = 1 where e_i = 0,
+    and `_splits` forms only the eps that step up a nonzero e_i.  Each E(c)
+    comes from `ep_dispatch` by the route `method`."""
     check_prime(p)
     K = check_box(K)
     a = int(a)
@@ -212,8 +223,7 @@ def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     k, e = zip(*(divmod(Ki, a) for Ki in K))
     return sum(K) - len(K) + a - min(
         a * ep_dispatch(p, c, method, want_witness=False).value + rest
-        for eps, c, rest in _splits(k, e)
-        if 0 not in c and all(ei <= ri for ei, ri in zip(eps, e)))
+        for _, c, rest in _splits(k, e, every=False) if 0 not in c)
 
 
 @dataclass(frozen=True)

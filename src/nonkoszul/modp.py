@@ -35,7 +35,10 @@ def check_prime(p: int) -> int:
 
 
 def largest_power_leq(p: int, x: int) -> tuple[int, int]:
-    """Largest q = p^e with q <= x, returned as (q, e). Requires x >= 1."""
+    """Largest q = p^e with q <= x, returned as (q, e). Requires p >= 2,
+    without which the powers never pass x, and x >= 1."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     q, e = 1, 0

@@ -63,9 +63,12 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
     variable; one boolean mask over (term, source), one comparison per
     variable, marks those pairs, and one scatter writes them.  Distinct
     terms send a source to distinct targets, so no entry is written twice.
-    The mask holds terms x sources bytes.  The terms are at most the degree
-    `degree` slice, so the mask is smaller than the int64 matrix whenever
-    that slice has fewer than 8 x the target slice's monomials.
+    Each pair's target row is found by binary search among the codes of the
+    target slice, so nothing is allocated by the size of the box.  A box of
+    2^63 or more monomials has codes that int64 cannot hold, so it raises
+    ValueError.  The mask holds terms x sources bytes.  The terms are at most
+    the degree `degree` slice, so the mask is smaller than the int64 matrix
+    whenever that slice has fewer than 8 x the target slice's monomials.
 
     `_check_pieces` holds each side, and `_power_terms` its terms, to
     MATRIX_CAP before any is listed: the int64 matrix is at most 200 MB,
@@ -79,19 +82,22 @@ def _shift_matrix(caps: tuple[int, ...], src_degree: int, degree: int,
     tgt = _slice_cached(caps, src_degree + degree)
     mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
     if len(src) and len(tgt):
+        if math.prod(caps) >= 2**63:
+            raise ValueError(f"box {caps} has too many monomials to number "
+                             f"in int64")
         caps_arr = np.array(caps, dtype=np.int64)
-        # the code of x^a is a @ strides, mixed radix in the caps
+        # the code of x^a is a @ strides, mixed radix in the caps; codes
+        # order monomials as lex does, so the target codes descend
         strides = np.array([math.prod(caps[i + 1:]) for i in range(len(caps))],
                            dtype=np.int64)
-        code_to_row = np.full(int(np.prod(caps_arr)), -1, dtype=np.int64)
-        code_to_row[tgt @ strides] = np.arange(len(tgt), dtype=np.int64)
         # room[s, i]: how far source monomial s may grow in variable i
         room = caps_arr - src
         fits = comps[:, :1] < room[:, 0]
         for i in range(1, len(caps)):
             fits &= comps[:, i:i + 1] < room[:, i]
         term, col = np.nonzero(fits)
-        rows = code_to_row[(src @ strides)[col] + (comps @ strides)[term]]
+        codes = (src @ strides)[col] + (comps @ strides)[term]
+        rows = np.searchsorted(-(tgt @ strides), -codes)
         mat[rows, col] = np.array(coeffs, dtype=np.int64)[term]
     return MatrixFp._trusted(mat, p)
 

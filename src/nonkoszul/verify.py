@@ -38,7 +38,10 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Declarative description of one verification grid."""
+    """Declarative description of one verification grid.  Every field is
+    checked here, however the spec is built; p_list and n_list become tuples.
+    A bound or matrix cap below 1 would check nothing, and a cap above
+    MATRIX_CAP would admit points the builder refuses, stopping the run."""
 
     kind: str                       # e | wlp | tsd | fthreshold_convergence
     p_list: tuple[int, ...] = ()
@@ -61,59 +64,61 @@ class GridSpec:
     def from_dict(cls, doc: dict) -> "GridSpec":
         if not isinstance(doc, dict):
             raise ValueError(f"a grid must be a JSON object, got {doc!r}")
-        specs = {f.name: f for f in fields(cls)}
-        unknown = set(doc) - set(specs)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown grid fields: {sorted(unknown)}")
         if "kind" not in doc:
             raise ValueError("grid file needs a 'kind' field")
-        for key, value in doc.items():
-            default = specs[key].default
-            if key in ("p_list", "n_list"):
+        return cls(**doc)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("p_list", "n_list"):
                 want = "a list of integers"
                 ok = (isinstance(value, (list, tuple))
                       and all(map(_is_int, value)))
-            elif default is None or type(default) is int:
-                want = "an integer or null" if default is None else "an integer"
-                ok = _is_int(value) or (value is None and default is None)
+                if ok:
+                    object.__setattr__(self, f.name, tuple(value))
+            elif f.default is None or type(f.default) is int:
+                nullable = f.default is None
+                want = "an integer or null" if nullable else "an integer"
+                ok = _is_int(value) or (value is None and nullable)
             else:
                 continue
             if not ok:
-                raise ValueError(f"grid field {key!r} must be {want}, "
+                raise ValueError(f"grid field {f.name!r} must be {want}, "
                                  f"got {value!r}")
-        kw = dict(doc)
-        for key in ("p_list", "n_list"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        spec = cls(**kw)
-        if spec.kind not in ("e", "wlp", "tsd", "fthreshold_convergence"):
-            raise ValueError(f"unknown grid kind: {spec.kind!r}")
-        if spec.paths not in ("all", "main", "han"):
-            raise ValueError(f"unknown paths filter: {spec.paths!r}")
-        if any(n < 0 for n in spec.n_list):
+        if self.kind not in ("e", "wlp", "tsd", "fthreshold_convergence"):
+            raise ValueError(f"unknown grid kind: {self.kind!r}")
+        if self.paths not in ("all", "main", "han"):
+            raise ValueError(f"unknown paths filter: {self.paths!r}")
+        if any(n < 0 for n in self.n_list):
             raise ValueError(f"grid field 'n_list' must hold no negative "
-                             f"entries, got {list(spec.n_list)}")
-        for p in spec.p_list:
+                             f"entries, got {list(self.n_list)}")
+        for p in self.p_list:
             try:
                 check_prime(p)
             except ValueError as exc:
                 raise ValueError(f"grid field 'p_list': {exc}") from None
-        # a bound below 1 enumerates no point, and a matrix cap below 1 skips
-        # every point, so the grid would check nothing
-        bounds = {"e": ("sum_max", "d_max"), "tsd": ("K_max", "a_max")}
-        for key in bounds.get(spec.kind, ()) + ("matrix_cap",):
-            value = getattr(spec, key)
+        for key in ("sum_max", "d_max", "K_max", "a_max", "matrix_cap"):
+            value = getattr(self, key)
             if value is not None and value < 1:
                 raise ValueError(f"grid field {key!r} must be at least 1, "
                                  f"got {value}")
-        return spec
-
-    def __post_init__(self):
-        # the builder refuses a matrix above MATRIX_CAP, so a larger cap
-        # would admit points that stop the run halfway
         if self.matrix_cap > MATRIX_CAP:
             raise ValueError(f"grid field 'matrix_cap' must be at most "
                              f"{MATRIX_CAP}, got {self.matrix_cap}")
+        if self.kind == "e" and self.sum_max is None and self.d_max is None:
+            raise ValueError("e-grid needs sum_max or d_max")
+        if self.kind == "tsd" and None in (self.K_max, self.a_max):
+            raise ValueError("tsd grid needs K_max and a_max")
+        if self.kind == "fthreshold_convergence":
+            if None in (self.p, self.a, self.n, self.e_max):
+                raise ValueError(
+                    "fthreshold_convergence grid needs p, a, n, e_max")
+            if self.e_max < 0:
+                raise ValueError(f"need e_max >= 0, got {self.e_max}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "p_list": sorted(self.p_list),
@@ -202,9 +207,6 @@ def verify_e_grid(spec: GridSpec) -> dict:
     # same moment as it would without `clean`.
     clean: dict[tuple, tuple[int, int]] = {}
     enumerated = 0
-
-    if spec.sum_max is None and spec.d_max is None:
-        raise ValueError("e-grid needs sum_max or d_max")
 
     def enum_tuples(m):
         if spec.sum_max is not None:
@@ -417,8 +419,6 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
 
 def verify_tsd_grid(spec: GridSpec) -> dict:
     """Socle-degree formula against the diagonal-form rank oracle."""
-    if spec.K_max is None or spec.a_max is None:
-        raise ValueError("tsd grid needs K_max and a_max")
     buckets = {"checked": 0, "skipped": 0}
     discrepancies: list[dict] = []
     enumerated = 0
@@ -450,13 +450,11 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     Reports one row per feasible q = p^e with q = 1 mod a (the subsequence on
     which the limit argument runs).  Where the signed deviation c - nu(q)/q
     increases from one reported row to the next, it records a
-    `deviation_monotone` discrepancy; it raises nothing.
+    `deviation_monotone` discrepancy rather than raising.  The arguments are
+    checked as the fields of a `GridSpec` of this kind.
     """
-    if e_max < 0:
-        raise ValueError(f"need e_max >= 0, got {e_max}")
-    if matrix_cap > MATRIX_CAP:
-        raise ValueError(f"matrix_cap must be at most {MATRIX_CAP}, "
-                         f"got {matrix_cap}")
+    GridSpec(kind="fthreshold_convergence", p=p, a=a, n=n, e_max=e_max,
+             matrix_cap=matrix_cap)
     result = fthreshold_formula(p, a, n)
     rows = []
     devs: list[Fraction] = []
@@ -512,8 +510,6 @@ def run_grid(doc: dict) -> dict:
         return verify_wlp_grid(spec)
     if spec.kind == "tsd":
         return verify_tsd_grid(spec)
-    if None in (spec.p, spec.a, spec.n, spec.e_max):
-        raise ValueError("fthreshold_convergence grid needs p, a, n, e_max")
     return fthreshold_convergence(spec.p, spec.a, spec.n, spec.e_max,
                                   matrix_cap=spec.matrix_cap)
 

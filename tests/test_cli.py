@@ -191,7 +191,7 @@ def test_matrix_cap_out_of_range_exits_1(tmp_path, capsys):
     args = cli._build_parser().parse_args(
         ["fthreshold", "--p", "3", "--a", "2", "--n", "2"])
     assert args.matrix_cap == oracle.MATRIX_CAP
-    assert GridSpec(kind="e").matrix_cap == oracle.MATRIX_CAP
+    assert GridSpec(kind="e", d_max=1).matrix_cap == oracle.MATRIX_CAP
 
 
 def test_verify_command(tmp_path):

@@ -60,6 +60,46 @@ def test_min_function_worked_cases():
     assert _split_minimum(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * _ep_base(3, (1, 1, 1, 1))
 
 
+def test_split_minima_form_only_the_terms_that_can_win(monkeypatch):
+    # a step up at a zero remainder never wins, so forty zero remainders cost
+    # one base value each in ep_main and in tsd_formula's one split, not 2^40
+    calls = []
+
+    def counting(p, kappa, _fn=formulas._ep_base):
+        calls.append(kappa)
+        return _fn(p, kappa)
+
+    monkeypatch.setattr(formulas, "_ep_base", counting)
+    assert ep_dispatch(3, (2,) * 40).value == 3
+    assert tsd_formula(3, (2,) * 40, 1) == 38
+    assert calls == [(2,) * 40] * 2
+    # two nonzero remainders: the four terms that step them up
+    calls.clear()
+    assert _split_minimum(5, 5, (1, 1, 2, 2), (0, 2, 0, 3)) == 15
+    assert sorted(calls) == [(1, 1, 2, 2), (1, 1, 2, 3), (1, 2, 2, 2),
+                             (1, 2, 2, 3)]
+
+
+def test_split_minima_match_every_epsilon():
+    # the reference forms the term of every epsilon
+    rng = random.Random(24)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7, 11])
+        q = p ** rng.randint(0, 3)
+        k = tuple(rng.randint(1, p - 1) if p > 2 else 1
+                  for _ in range(rng.randint(1, 7)))
+        r = tuple(rng.choice([0, rng.randrange(q)]) for _ in k)
+        assert _split_minimum(p, q, k, r) == min(
+            q * _ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
+        a = rng.randint(1, 6)
+        K = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
+        k, e = zip(*(divmod(Ki, a) for Ki in K))
+        assert tsd_formula(p, K, a) == sum(K) - len(K) + a - min(
+            a * ep_dispatch(p, c, want_witness=False).value + rest
+            for eps, c, rest in _splits(k, e)
+            if 0 not in c and all(ei <= ri for ei, ri in zip(eps, e)))
+
+
 def test_main_form_checks_its_input_once(monkeypatch):
     # applicability checks p and d; the split minimum and the char0 test
     # that follow take the checked values as they are
@@ -80,6 +120,9 @@ def test_splits_enumerate_in_product_order():
     assert list(_splits((1, 2), (3, 4))) == [
         ((0, 0), (1, 2), 7), ((0, 1), (1, 3), 3),
         ((1, 0), (2, 2), 4), ((1, 1), (2, 3), 0)]
+    # unless every epsilon is asked for, a zero remainder is never stepped up
+    assert list(_splits((1, 2), (0, 4), every=False)) == [
+        ((0, 0), (1, 2), 4), ((0, 1), (1, 3), 0)]
 
 
 def test_splits_match_reference_generator():

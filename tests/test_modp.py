@@ -27,3 +27,10 @@ def test_check_prime_rejects_composites():
 ])
 def test_largest_power_leq(p, bound, q, e):
     assert largest_power_leq(p, bound) == (q, e)
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_largest_power_leq_refuses_bases_below_two(p):
+    # the powers of such a base never exceed x, so the search would not end
+    with pytest.raises(ValueError, match="need p >= 2"):
+        largest_power_leq(p, 5)

@@ -157,6 +157,27 @@ def test_degenerate_query_allocates_nothing_for_the_last_degree():
     assert peak < 2 ** 20
 
 
+def test_matrix_build_allocates_nothing_by_the_box():
+    # the box (2,) * 24 has 2^24 monomials and the witness matrix is 1 x 24;
+    # a table of a row per monomial code of the box took 128 MiB here
+    tracemalloc.start()
+    try:
+        res = e_degree_oracle(8191, (2,) * 24 + (23,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.witness.degree) == (24, 1)
+    assert peak < 2 ** 20
+    # f^3 = x_1^3 + ... + x_62^3 is 0 on the box (2,) * 62 over F_3, so
+    # E = 60 with the witness 1 in degree 0; its 62 x 62 map from degree 1
+    # is zero, built with no table of 2^62 entries
+    res = e_degree_oracle(3, (2,) * 62 + (60,))
+    assert (res.value, res.witness.degree) == (60, 0)
+    # from 2^63 monomials on, a code no longer fits in int64
+    with pytest.raises(ValueError, match="too many monomials"):
+        e_degree_oracle(3, (3,) * 40 + (78,))
+
+
 def test_symmetry_under_permutations():
     for p, d in [(2, (2, 3, 4)), (3, (1, 4, 2)), (5, (2, 3, 4, 5)),
                  (2, (3, 3, 4))]:

@@ -135,9 +135,67 @@ def test_grid_matrix_cap_out_of_range_is_refused():
     with pytest.raises(ValueError, match="'matrix_cap' must be at most "
                                          "5000, got 5001"):
         GridSpec(kind="tsd", matrix_cap=5001)
-    with pytest.raises(ValueError, match="matrix_cap must be at most "
+    with pytest.raises(ValueError, match="'matrix_cap' must be at most "
                                          "5000, got 6000"):
         fthreshold_convergence(83, 2, 2, 1, matrix_cap=6000)
+
+
+WLP = {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8, "d_max": 4}
+TSD = {"kind": "tsd", "p_list": [2], "n_list": [2], "K_max": 3, "a_max": 2}
+E = {"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 6}
+FTC = {"kind": "fthreshold_convergence", "p": 3, "a": 2, "n": 2, "e_max": 2}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "nope", "p_list": [2]}, "unknown grid kind: 'nope'"),
+    ({**E, "matrix_cap": 0},
+     "grid field 'matrix_cap' must be at least 1, got 0"),
+    ({**WLP, "matrix_cap": -5},
+     "grid field 'matrix_cap' must be at least 1, got -5"),
+    ({**TSD, "matrix_cap": 5001},
+     "grid field 'matrix_cap' must be at most 5000, got 5001"),
+    ({**WLP, "sum_max": "12"},
+     "grid field 'sum_max' must be an integer or null, got '12'"),
+    ({**WLP, "d_max_n4": None},
+     "grid field 'd_max_n4' must be an integer, got None"),
+    ({**WLP, "d_max": 4.0},
+     "grid field 'd_max' must be an integer or null, got 4.0"),
+    ({**WLP, "matrix_cap": True},
+     "grid field 'matrix_cap' must be an integer, got True"),
+    ({**WLP, "p_list": 2},
+     "grid field 'p_list' must be a list of integers, got 2"),
+    ({**WLP, "n_list": [3, "3"]},
+     "grid field 'n_list' must be a list of integers, got [3, '3']"),
+    ({**WLP, "p_list": [0]}, "grid field 'p_list': modulus 0 is not prime"),
+    ({**TSD, "p_list": [1]}, "grid field 'p_list': modulus 1 is not prime"),
+    ({**TSD, "a_max": -1}, "grid field 'a_max' must be at least 1, got -1"),
+    ({**E, "sum_max": -3}, "grid field 'sum_max' must be at least 1, got -3"),
+    ({**FTC, "e_max": -5}, "need e_max >= 0, got -5"),
+    ({**E, "sum_max": None}, "e-grid needs sum_max or d_max"),
+    ({**TSD, "a_max": None}, "tsd grid needs K_max and a_max"),
+    ({**FTC, "e_max": None},
+     "fthreshold_convergence grid needs p, a, n, e_max"),
+    # specs that a direct build let through before every check moved into
+    # GridSpec: a recursion error, a grid that checks nothing, a paths filter
+    # read as "all", a run that stops partway, and an empty table
+    ({**E, "n_list": [-1], "sum_max": 5},
+     "grid field 'n_list' must hold no negative entries, got [-1]"),
+    ({**TSD, "K_max": 0}, "grid field 'K_max' must be at least 1, got 0"),
+    ({**E, "paths": "sideways"}, "unknown paths filter: 'sideways'"),
+    ({**E, "p_list": [2, 4]}, "grid field 'p_list': modulus 4 is not prime"),
+    ({**FTC, "n": 1, "e_max": 4, "matrix_cap": 0},
+     "grid field 'matrix_cap' must be at least 1, got 0"),
+])
+def test_grid_spec_refuses_alike_however_built(doc, message):
+    builds = [lambda: GridSpec.from_dict(doc), lambda: GridSpec(**doc),
+              lambda: run_grid(doc)]
+    if doc["kind"] == "fthreshold_convergence" and doc["e_max"] is not None:
+        args = {k: v for k, v in doc.items() if k != "kind"}
+        builds.append(lambda: fthreshold_convergence(**args))
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_e_grid_two_degrees_is_oracle_only():
