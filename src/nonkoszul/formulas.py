@@ -14,7 +14,7 @@ from itertools import compress, product
 from operator import add, not_
 
 from .modp import check_prime, largest_power_leq
-from .monomials import check_box
+from .monomials import _as_int, check_box
 from .oracle import EResult, _degenerate, e_degree_oracle
 
 
@@ -217,7 +217,7 @@ def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     comes from `ep_dispatch` by the route `method`."""
     check_prime(p)
     K = check_box(K)
-    a = int(a)
+    a = _as_int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")
     k, e = zip(*(divmod(Ki, a) for Ki in K))
@@ -266,8 +266,8 @@ def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
     so c = 1.  The fix changes outputs that the socle_sparse and query_mix
     benchmark digests record, so it waits for a change that re-records them."""
     check_prime(p)
-    a = int(a)
-    n = int(n)
+    a = _as_int(a)
+    n = _as_int(n)
     if a < 1:
         raise ValueError("exponent a must be positive")
     if n < 1:
@@ -351,6 +351,7 @@ def wlp_feasibility_filter(n: int, p: int, q: int) -> bool:
     """Necessary-condition screen: False means WLP is impossible for these
     (n, p, q); True only means not excluded."""
     check_prime(p)
+    n, q = _as_int(n), _as_int(q)
     if n < 1:
         raise ValueError("need n >= 1")
     if q < 1:

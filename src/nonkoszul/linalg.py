@@ -49,8 +49,7 @@ class MatrixFp:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", int(self.p))
-        check_prime(self.p)
+        object.__setattr__(self, "p", check_prime(self.p))
         a = self.data
         if a.ndim != 2 or a.dtype != np.int64:
             raise ValueError("MatrixFp wants a 2-d int64 array")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 MAX_PRIME = 2**31  # products of two residues must stay inside a 64-bit word
@@ -25,8 +26,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    """Return p if it is a prime below 2^31, else raise ValueError."""
-    p = int(p)
+    """Return p if it is a prime below 2^31, else raise ValueError.  p is
+    read as `monomials._as_int` reads an integer."""
+    if isinstance(p, bool) or not hasattr(type(p), "__index__"):
+        raise ValueError(f"expected an integer, got {p!r}")
+    p = operator.index(p)
     if p >= MAX_PRIME:
         raise ValueError(f"modulus {p} too large (must be < 2^31)")
     if not is_prime(p):

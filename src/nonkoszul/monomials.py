@@ -8,15 +8,25 @@ so every matrix and witness built on top is reproducible.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 
+def _as_int(value) -> int:
+    """An integer argument as a Python int, read by operator.index so numpy
+    integers pass; a bool, a str, a float or any other value raises
+    ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def check_box(caps: Sequence[int]) -> tuple[int, ...]:
     """Validate exponent caps or degrees (all >= 1) and return them as a tuple."""
-    caps = tuple(int(c) for c in caps)
+    caps = tuple(map(_as_int, caps))
     if not caps:
         raise ValueError("need at least one exponent")
     if any(c < 1 for c in caps):
@@ -64,4 +74,4 @@ def _slice_cached(caps: tuple[int, ...], degree: int) -> np.ndarray:
 
 def slice_array(caps: Sequence[int], degree: int) -> np.ndarray:
     """Degree slice as a read-only (count, m) int64 array, rows in descending lex order."""
-    return _slice_cached(check_box(caps), int(degree))
+    return _slice_cached(check_box(caps), _as_int(degree))

@@ -20,15 +20,24 @@ import numpy as np
 
 from .linalg import MatrixFp, kernel_witness, rank
 from .modp import check_prime
-from .monomials import _hilbert_cached, _slice_cached, check_box
+from .monomials import _as_int, _hilbert_cached, _slice_cached, check_box
 
 MATRIX_CAP = 5000    # bound on each side of a dense multiplication matrix
+_TOP_CAP = 8 * MATRIX_CAP ** 2 // 52     # bound on the top degree of a box
 
 
 def _check_pieces(caps: tuple[int, ...], *degrees: int) -> None:
-    """Raise ValueError for a degree slice of the box above MATRIX_CAP
-    monomials, read off the Hilbert function; degrees outside [0, top]
-    have empty slices."""
+    """Raise ValueError for a box of top degree above _TOP_CAP = 3,846,153,
+    before its Hilbert function H is built, or for a degree slice of the box
+    above MATRIX_CAP monomials, read off H; degrees outside [0, top] have
+    empty slices.  H costs at most 52 bytes per degree: an int64 working
+    entry, then a tuple slot and an int of at most 36 bytes (it fits in
+    64 bits).  So the top-degree bound keeps H within the 200 MB of one int64
+    matrix of side MATRIX_CAP."""
+    top = sum(caps) - len(caps)
+    if top > _TOP_CAP:
+        raise ValueError(f"box {caps} has top degree {top}, above {_TOP_CAP}, "
+                         f"the Hilbert-function cap")
     H = _hilbert_cached(caps)
     if any(0 <= j < len(H) and H[j] > MATRIX_CAP for j in degrees):
         raise ValueError(f"box {caps} has a graded piece larger than "
@@ -111,6 +120,7 @@ def mult_map(caps, src_degree: int, power: int, p: int) -> MatrixFp:
     """
     caps = check_box(caps)
     p = check_prime(p)
+    src_degree, power = _as_int(src_degree), _as_int(power)
     if power < 0:
         raise ValueError("power must be nonnegative")
     return _shift_matrix(caps, src_degree, power,
@@ -325,6 +335,7 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
     """
     caps = check_box(d)
     p = check_prime(p)
+    _check_pieces(caps)
     H = _hilbert_cached(caps)
     top = len(H) - 1
     terms = _power_terms(caps, 1, p)
@@ -361,9 +372,10 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     """
     caps = check_box(K)
     p = check_prime(p)
-    a = int(a)
+    a = _as_int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")
+    _check_pieces(caps)
     H = _hilbert_cached(caps)
     top = len(H) - 1
     # x_1^a + ... + x_m^a: one unit-coefficient shift per variable

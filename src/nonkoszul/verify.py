@@ -12,11 +12,12 @@ import io
 import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import comb
 
 from .formulas import (NotApplicableError, _char0_value, _condition_char0,
-                       _splits, applicability, ep_dispatch,
+                       _scope_report, _splits, applicability, ep_dispatch,
                        fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
@@ -127,16 +128,27 @@ class GridSpec:
 
 def _simplex(m: int, sum_max: int, nondecreasing: bool = False):
     """All positive tuples of length m >= 1 with sum <= sum_max, lex order;
-    with `nondecreasing`, only the sorted one of each multiset."""
-    def rec(prefix, left, lo):
-        if len(prefix) == m - 1:
-            for x in range(lo, left + 1):
-                yield tuple(prefix) + (x,)
-            return
-        for x in range(lo, left - (m - len(prefix) - 1) + 1):
-            yield from rec(prefix + [x], left - x, x if nondecreasing else 1)
-    if sum_max >= m:
-        yield from rec([], sum_max, 1)
+    with `nondecreasing`, only the sorted one of each multiset.  A tuple's
+    partial sums are m cut points in [1, sum_max], in the same lex order."""
+    if nondecreasing:
+        return (d for d in combinations_with_replacement(
+            range(1, sum_max - m + 2), m) if sum(d) <= sum_max)
+    return (tuple(b - a for a, b in zip((0,) + cuts, cuts))
+            for cuts in combinations(range(1, sum_max + 1), m))
+
+
+def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
+    return max(_hilbert_cached(d)) <= cap
+
+
+def _fitting(points, cap: int, buckets: dict, box=slice(None)):
+    """The points whose box, point[box], has no graded piece above cap; each
+    other point is counted in buckets["skipped"]."""
+    for d in points:
+        if _box_feasible(d[box], cap):
+            yield d
+        else:
+            buckets["skipped"] += 1
 
 
 class _OracleCache(dict):
@@ -144,17 +156,20 @@ class _OracleCache(dict):
     permutation symmetric; symmetry itself is checked separately on raw calls,
     of which the call on the sorted tuple is this cache's own).
     `verify_e_grid` relies on these sorted keys to run its split-bound and
-    unit-step checks once per multiset, not once per arrangement."""
+    unit-step checks once per multiset, not once per arrangement.  A key
+    whose oracle box, the sorted tuple less its largest entry, has a graded
+    piece above `cap` gets None and builds nothing."""
 
-    def value(self, p: int, d) -> int:
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def value(self, p: int, d) -> int | None:
         key = (p, tuple(sorted(d)))
         if key not in self:
-            self[key] = e_degree_oracle(p, key[1], want_witness=False).value
+            self[key] = (e_degree_oracle(p, key[1], want_witness=False).value
+                         if _box_feasible(key[1][:-1], self.cap) else None)
         return self[key]
-
-
-def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
-    return max(_hilbert_cached(d)) <= cap
 
 
 def _cube_peak(q: int, m: int) -> int:
@@ -172,10 +187,16 @@ def _point_key(rec: dict) -> tuple:
     return (rec["p"], tuple(rec["d"] if "d" in rec else rec["K"]), rec.get("a"))
 
 
-def _report(spec: GridSpec, enumerated: int, buckets: dict,
-            discrepancies: list[dict], **extra) -> dict:
-    """A grid report.  A point agrees when it was checked and has no
-    discrepancy record, however many records a failing point has."""
+def _report(spec: GridSpec, buckets: dict, discrepancies: list[dict],
+            **extra) -> dict:
+    """A grid report.  Each enumerated point lands in exactly one bucket but
+    `filter_checked`, which counts re-checks of points.  A point agrees when
+    it was checked and has no discrepancy record, however many records a
+    failing point has.  A grid that enumerates no point checks nothing, so
+    it raises ValueError."""
+    enumerated = sum(buckets.values()) - buckets.get("filter_checked", 0)
+    if not enumerated:
+        raise ValueError("grid enumerates no point")
     checked = enumerated - buckets["skipped"]
     failing = len({_point_key(rec) for rec in discrepancies})
     return {"spec": spec.to_dict(),
@@ -193,7 +214,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
     checks = {"formula_vs_oracle": 0, "char0_ceiling": 0, "power_split_bound": 0,
               "monotonicity": 0, "symmetry_classes": 0}
     discrepancies: list[dict] = []
-    cache = _OracleCache()
+    cache = _OracleCache(spec.matrix_cap)
     # The split-bound and unit-step checks read only `cache` values, and
     # nothing they read changes when d is rearranged: the q range (q <= min d),
     # the multiset of sorted keys k + eps with their rest (permute eps with
@@ -204,14 +225,9 @@ def verify_e_grid(spec: GridSpec) -> dict:
     # the sorted tuple.  An arrangement with a discrepancy stores nothing, so
     # every arrangement of its multiset writes its own records.  The first
     # checked arrangement runs both loops, so every cache miss comes at the
-    # same moment as it would without `clean`.
+    # same moment as it would without `clean`.  Whether `cache` answers None,
+    # a neighbour above the cap, depends on the sorted key alone.
     clean: dict[tuple, tuple[int, int]] = {}
-    enumerated = 0
-
-    def enum_tuples(m):
-        if spec.sum_max is not None:
-            return _simplex(m, spec.sum_max)
-        return product(range(1, spec.d_max + 1), repeat=m)
 
     def in_grid(d):
         if spec.sum_max is not None:
@@ -220,17 +236,13 @@ def verify_e_grid(spec: GridSpec) -> dict:
 
     for p in sorted(spec.p_list):
         for n in sorted(spec.n_list):
-            for d in enum_tuples(n + 1):
-                if spec.paths == "main" and (
-                        n < 3 or applicability(p, d).failing):
-                    continue
-                if spec.paths == "han" and (n != 2 or 2 * max(d) > sum(d)):
-                    continue
-                enumerated += 1
-                # n = 0 leaves an empty box: one monomial, always feasible
-                if n and not _box_feasible(d[:-1], spec.matrix_cap):
-                    buckets["skipped"] += 1
-                    continue
+            tuples = (_simplex(n + 1, spec.sum_max) if spec.sum_max is not None
+                      else product(range(1, spec.d_max + 1), repeat=n + 1))
+            points = (d for d in tuples if spec.paths == "all" or (
+                n >= 3 and not applicability(p, d).failing
+                if spec.paths == "main" else n == 2 and 2 * max(d) <= sum(d)))
+            for d in _fitting(points, spec.matrix_cap, buckets,
+                              slice(None, -1)):
                 oracle_value = cache.value(p, d)
                 # formula-vs-oracle on whichever closed form claims the point
                 try:
@@ -268,7 +280,9 @@ def verify_e_grid(spec: GridSpec) -> dict:
                     splits += 1
                     for eps, kk, rest in _splits([x // q for x in d],
                                                  [x % q for x in d]):
-                        bound = q * cache.value(p, kk) + rest
+                        if (value := cache.value(p, kk)) is None:
+                            continue
+                        bound = q * value + rest
                         if oracle_value > bound:
                             discrepancies.append({
                                 "check": "power_split_bound", "p": p,
@@ -279,14 +293,15 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 for i in range(n + 1):
                     bumped = tuple(di + 1 if j == i else di
                                    for j, di in enumerate(d))
-                    if in_grid(bumped):
-                        steps += 1
-                        v2 = cache.value(p, bumped)
-                        if not oracle_value <= v2 <= oracle_value + 1:
-                            discrepancies.append({
-                                "check": "monotonicity", "p": p, "d": list(d),
-                                "coordinate": i, "value": oracle_value,
-                                "bumped": v2})
+                    if not in_grid(bumped) or (
+                            v2 := cache.value(p, bumped)) is None:
+                        continue
+                    steps += 1
+                    if not oracle_value <= v2 <= oracle_value + 1:
+                        discrepancies.append({
+                            "check": "monotonicity", "p": p, "d": list(d),
+                            "coordinate": i, "value": oracle_value,
+                            "bumped": v2})
                 checks["power_split_bound"] += splits
                 checks["monotonicity"] += steps
                 if len(discrepancies) == found:
@@ -313,7 +328,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                             "values": {",".join(map(str, k)): v
                                        for k, v in sorted(values.items())}})
 
-    return _report(spec, enumerated, buckets, discrepancies, checks=checks)
+    return _report(spec, buckets, discrepancies, checks=checks)
 
 
 def _wlp_verdict(p: int, d, cache: _OracleCache) -> bool:
@@ -331,22 +346,17 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                "n4_classified": 0, "n4_out_of_scope": 0, "n5_checked": 0,
                "n5_out_of_scope": 0, "filter_checked": 0, "skipped": 0}
     discrepancies: list[dict] = []
-    cache = _OracleCache()
+    cache = _OracleCache(spec.matrix_cap)
     verdict_true: list[tuple[int, int, int, tuple[int, ...]]] = []
-    enumerated = 0
 
     # criterion-vs-profile equivalence under the characteristic-zero condition
     for p in sorted(spec.p_list):
         for n in sorted(spec.n_list):
             if spec.sum_max is None:
                 continue
-            for d in _simplex(n + 1, spec.sum_max, nondecreasing=True):
-                if not _condition_char0(d):
-                    continue
-                enumerated += 1
-                if not _box_feasible(d, spec.matrix_cap):
-                    buckets["skipped"] += 1
-                    continue
+            points = filter(_condition_char0, _simplex(
+                n + 1, spec.sum_max, nondecreasing=True))
+            for d in _fitting(points, spec.matrix_cap, buckets):
                 buckets["obs_equivalence"] += 1
                 profile = wlp_rank_profile(p, d).verdict
                 by_degree = cache.value(p, d) == _char0_value(d)
@@ -365,12 +375,9 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             continue
         for p in sorted(spec.p_list):
             unexpected = []     # five-cap passes besides the sporadic one
-            for d in combinations_with_replacement(
-                    range(p, min(cube, p * p - 1) + 1), n + 1):
-                enumerated += 1
-                if not _box_feasible(d, spec.matrix_cap):
-                    buckets["skipped"] += 1
-                    continue
+            points = combinations_with_replacement(
+                range(p, min(cube, p * p - 1) + 1), n + 1)
+            for d in _fitting(points, spec.matrix_cap, buckets):
                 try:
                     claimed = classify(p, d)
                 except NotApplicableError:
@@ -392,14 +399,12 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
 
     # six caps with q > 1 must all fail
     for p in sorted(spec.p_list):
-        for d in combinations_with_replacement(
-                range(p, min(spec.d_max_n5, p * p - 1) + 1), 6):
-            enumerated += 1
-            if not _box_feasible(d, spec.matrix_cap):
-                buckets["skipped"] += 1
-                continue
-            rep = applicability(p, d)
-            if rep.failing or rep.q == 1:
+        points = combinations_with_replacement(
+            range(p, min(spec.d_max_n5, p * p - 1) + 1), 6)
+        for d in _fitting(points, spec.matrix_cap, buckets):
+            try:
+                _scope_report(p, d, 6)
+            except NotApplicableError:
                 buckets["n5_out_of_scope"] += 1
                 continue
             buckets["n5_checked"] += 1
@@ -414,25 +419,21 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             discrepancies.append({"check": "feasibility_filter", "p": p,
                                   "q": q, "n": n, "d": list(d)})
 
-    return _report(spec, enumerated, buckets, discrepancies)
+    return _report(spec, buckets, discrepancies)
 
 
 def verify_tsd_grid(spec: GridSpec) -> dict:
     """Socle-degree formula against the diagonal-form rank oracle."""
     buckets = {"checked": 0, "skipped": 0}
     discrepancies: list[dict] = []
-    enumerated = 0
     for p in sorted(spec.p_list):
         for n in sorted(spec.n_list):
             for a in range(1, spec.a_max + 1):
                 if a % p == 0:
                     continue
-                for K in combinations_with_replacement(
-                        range(1, spec.K_max + 1), n + 1):
-                    enumerated += 1
-                    if not _box_feasible(K, spec.matrix_cap):
-                        buckets["skipped"] += 1
-                        continue
+                points = combinations_with_replacement(
+                    range(1, spec.K_max + 1), n + 1)
+                for K in _fitting(points, spec.matrix_cap, buckets):
                     buckets["checked"] += 1
                     f = tsd_formula(p, K, a, method="oracle")
                     o = socle_degree_oracle(p, K, a)
@@ -440,7 +441,7 @@ def verify_tsd_grid(spec: GridSpec) -> dict:
                         discrepancies.append({
                             "check": "tsd_formula_vs_oracle", "p": p,
                             "K": list(K), "a": a, "formula": f, "oracle": o})
-    return _report(spec, enumerated, buckets, discrepancies)
+    return _report(spec, buckets, discrepancies)
 
 
 def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
@@ -457,7 +458,7 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
              matrix_cap=matrix_cap)
     result = fthreshold_formula(p, a, n)
     rows = []
-    devs: list[Fraction] = []
+    discrepancies = []
     skipped = []
     outside = 0
     for e in range(e_max + 1):
@@ -474,17 +475,14 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
         ratio = Fraction(nu, q)
         dev = result.c - ratio
         bound = Fraction(5 * (n + 2), q)
+        if rows and dev > last:
+            discrepancies.append({"check": "deviation_monotone", "e": e,
+                                  "deviation": frac_str(dev),
+                                  "previous": rows[-1]["deviation"]})
         rows.append({"e": e, "q": q, "nu": nu, "ratio": frac_str(ratio),
                      "deviation": frac_str(dev), "bound": frac_str(bound),
                      "within_bound": abs(dev) <= bound})
-        devs.append(dev)
-    discrepancies = []
-    for i in range(1, len(devs)):
-        if devs[i] > devs[i - 1]:
-            discrepancies.append({"check": "deviation_monotone",
-                                  "e": rows[i]["e"],
-                                  "deviation": rows[i]["deviation"],
-                                  "previous": rows[i - 1]["deviation"]})
+        last = dev
     return {
         "spec": {"kind": "fthreshold_convergence", "p": p, "a": a, "n": n,
                  "e_max": e_max, "matrix_cap": matrix_cap},

@@ -221,6 +221,10 @@ def test_verify_bad_grid_exits_1(tmp_path):
                                 "d_max": 3, "mystery": 1}))
     proc = run_cli("verify", "--grid", str(grid), expect=1)
     assert "mystery" in proc.stderr
+    # a grid with no n_list enumerates no point, so it checks nothing
+    grid.write_text(json.dumps({"kind": "e", "p_list": [2], "sum_max": 5}))
+    proc = run_cli("verify", "--grid", str(grid), expect=1)
+    assert proc.stderr == "error: grid enumerates no point\n"
     # wrongly typed fields are refused with a message, not a traceback
     for field, value in (("sum_max", "12"), ("d_max_n4", None),
                          ("d_max", 4.0), ("matrix_cap", True), ("p_list", 2),
@@ -345,6 +349,31 @@ def test_dense_route_cap_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "MATRIX_CAP", 6)
     assert cli.main(args) == 1
     assert "larger than 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["e", "--p", "2", "--d", "1000000000,2,2,2,3"],
+    ["wlp", "--p", "2", "--d", "1000000000,2"],
+    ["tsd", "--p", "2", "--K", "1000000000,2,3", "--a", "2", "--check"],
+])
+def test_hilbert_function_of_a_deep_box_is_refused(args, capsys,
+                                                   monkeypatch):
+    # H has one entry per degree of the box: refused with exit 1 before
+    # it is built, however small the graded pieces are
+    def small_hilbert(caps, hilbert=oracle._hilbert_cached):
+        assert sum(caps) - len(caps) <= oracle._TOP_CAP, caps
+        return hilbert(caps)
+
+    monkeypatch.setattr(oracle, "_hilbert_cached", small_hilbert)
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box (1000000000, 2") and \
+        err.endswith(f"above {oracle._TOP_CAP}, the Hilbert-function cap\n")
+
+
+def test_deep_box_within_the_hilbert_cap_answers(capsys):
+    assert cli.main(["e", "--p", "2", "--d", "100000,2,2,2,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 100000
 
 
 @pytest.mark.parametrize("method", ["auto", "oracle"])

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
 from nonkoszul import formulas
@@ -351,6 +352,30 @@ def test_tsd_oracle_method(monkeypatch):
     # 4 = 2*2 + 0 cannot round up and 1 = 2*0 + 1 cannot round down
     assert tsd_formula(3, (4, 1), 2, method="oracle") == 1
     assert calls == [(2, 1)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ep_dispatch(5, "6789"),
+    lambda: e_degree_oracle("7", "345"),
+    lambda: e_degree_oracle(3.9, (2.9, 3.5, 4.2)),
+    lambda: tsd_formula(3, (4, 4, 4), 2.7),
+    lambda: ep_dispatch(3, (True, 2, 2)),
+    lambda: fthreshold_formula(3, 2, 2.0),
+    lambda: wlp_feasibility_filter(3.0, 2, 1),
+    lambda: socle_degree_oracle(3, (4, 4, 4), "2"),
+], ids=["str-degrees", "str-p", "float-p", "float-a", "bool-degree",
+        "float-n", "float-n-filter", "str-a"])
+def test_public_entries_take_integers_only(call):
+    # each would have answered for a rounded or re-read value
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
+def test_public_entries_take_numpy_integers():
+    d = np.array([6, 7, 11, 12])
+    assert ep_dispatch(np.int64(5), d).value == 16
+    assert tsd_formula(np.int32(3), tuple(d[:3]), np.int64(2)) == \
+        tsd_formula(3, (6, 7, 11), 2)
 
 
 def test_tsd_rejects_bad_a():

@@ -11,6 +11,12 @@ def test_is_prime(n, expected):
     assert is_prime(n) is expected
 
 
+@pytest.mark.parametrize("p", [True, "7", 7.0, 3.9, None])
+def test_check_prime_takes_integers_only(p):
+    with pytest.raises(ValueError, match="expected an integer"):
+        check_prime(p)
+
+
 def test_check_prime_rejects_composites():
     with pytest.raises(ValueError):
         check_prime(6)

@@ -623,6 +623,24 @@ def test_relation_degree_checks_its_tuple_once(monkeypatch):
     assert calls == [(4, 4, 4, 4)]
 
 
+def test_hilbert_function_is_bounded_before_it_is_built(monkeypatch):
+    # every oracle refuses a box of top degree above _TOP_CAP before H is
+    # built; the top degree _TOP_CAP itself passes the check
+    def small_hilbert(caps):
+        assert sum(caps) - len(caps) <= oracle._TOP_CAP, caps
+        return (1,)
+
+    monkeypatch.setattr(oracle, "_hilbert_cached", small_hilbert)
+    deep = (oracle._TOP_CAP + 1, 2)
+    for call in (lambda: e_degree_oracle(2, deep + (3,)),
+                 lambda: wlp_rank_profile(2, deep),
+                 lambda: socle_degree_oracle(2, deep, 1),
+                 lambda: mult_map(deep, 0, 1, 2)):
+        with pytest.raises(ValueError, match="the Hilbert-function cap"):
+            call()
+    oracle._check_pieces((oracle._TOP_CAP + 1,))
+
+
 def test_nu_values():
     # closed form for a=1: every variable to the q, so the socle sits at
     # (n+1)(q-1) - q + 1

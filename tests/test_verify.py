@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from nonkoszul import linalg, verify
+from nonkoszul import linalg, oracle, verify
 from nonkoszul.formulas import _condition_char0
 from nonkoszul.monomials import _hilbert_cached
-from nonkoszul.oracle import wlp_rank_profile
+from nonkoszul.oracle import MATRIX_CAP, wlp_rank_profile
 from nonkoszul.verify import (
     GridSpec,
     canonical_json,
@@ -94,6 +94,40 @@ def test_e_grid_symmetry_section_honours_matrix_cap():
                        "sum_max": 8, "matrix_cap": 1})
     assert report["totals"]["skipped"] == 20
     assert report["checks"]["symmetry_classes"] == 6
+
+
+def test_e_grid_builds_nothing_above_its_matrix_cap(monkeypatch):
+    # split keys and bumped tuples can have a box one step larger than the
+    # point's own; the cache skips them instead of building that box
+    real = oracle._shift_matrix
+    sides = []
+
+    def capped_shift_matrix(*args):
+        mat = real(*args)
+        sides.extend(mat.data.shape)
+        assert max(mat.data.shape) <= 3, (args[:3], mat.data.shape)
+        return mat
+
+    monkeypatch.setattr(oracle, "_shift_matrix", capped_shift_matrix)
+    report = run_grid({"kind": "e", "p_list": [3], "n_list": [3],
+                       "sum_max": 10, "matrix_cap": 3})
+    assert report["totals"]["discrepancies"] == 0
+    assert max(sides) == 3
+    assert report["checks"]["monotonicity"] > 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "e", "p_list": [2], "sum_max": 5},
+    {"kind": "tsd", "p_list": [2], "K_max": 3, "a_max": 2},
+    {"kind": "wlp", "n_list": [3], "sum_max": 8},
+    {"kind": "wlp", "p_list": [3], "d_max_n4": 0, "d_max_n5": 0},
+    {"kind": "e", "p_list": [3], "n_list": [3], "sum_max": 9,
+     "paths": "han"},
+])
+def test_grid_that_enumerates_no_point_is_refused(doc):
+    # all-zero totals would read as a clean run that checked nothing
+    with pytest.raises(ValueError, match="grid enumerates no point"):
+        run_grid(doc)
 
 
 def test_grid_eliminations_are_pinned(monkeypatch):
@@ -233,7 +267,7 @@ def test_wlp_verdict_matches_rank_profile():
     # the one-comparison verdict against the full rank profile on every
     # multiset of 2, 3 and 4 caps in cubes of side 9, 6 and 4 (408 boxes),
     # most of them outside the characteristic-zero condition
-    cache = verify._OracleCache()
+    cache = verify._OracleCache(MATRIX_CAP)
     outside = 0
     for p in (2, 3, 5):
         for m, side in ((2, 9), (3, 6), (4, 4)):
