@@ -303,12 +303,11 @@ def wlp_criterion(p: int, d) -> bool:
 
     A cap of 1 kills its variable, so by symmetry E(d) = E(d_1, ..., d_m, 1),
     one more than the least degree where x l has a kernel on A (l the sum of
-    the variables).  Kernels of x l persist upward (the socle argument in
-    `oracle.e_degree_oracle`).  A is Gorenstein with top degree s, so x l
-    from degree j is the transpose of x l from degree s - 1 - j, and H is
-    symmetric and unimodal.  Hence A has WLP iff x l is injective from
-    degree t = floor((s - 1)/2), iff E(d) >= t + 2 = floor((s + 3)/2), which
-    is the characteristic-zero value of d.
+    the variables).  By `oracle._scan`'s docstring, kernels of x l persist
+    upward, x l from degree j is the reversed transpose of x l from degree
+    s - 1 - j, and H is symmetric and unimodal.  Hence A has WLP iff x l is
+    injective from degree t = floor((s - 1)/2), iff E(d) >= t + 2 =
+    floor((s + 3)/2), which is the characteristic-zero value of d.
     """
     return ep_dispatch(p, d, want_witness=False).value >= _char0_value(d)
 

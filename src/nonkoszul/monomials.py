@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +37,13 @@ def check_box(caps: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _hilbert_cached(caps: tuple[int, ...]) -> tuple[int, ...]:
-    # times 1 + x + ... + x^{c-1}: running sums over a window of width c
-    values = np.ones(1, dtype=np.int64)
+    # times 1 + x + ... + x^{c-1}: running sums over a window of width c, in
+    # Python ints, so no piece wraps however large
+    values = [1]
     for c in caps:
-        values = np.cumsum(np.concatenate([values, np.zeros(c - 1, np.int64)]))
-        values[c:] = values[c:] - values[:-c]
-    return tuple(int(v) for v in values)
+        values = list(accumulate(values + [0] * (c - 1)))
+        values[c:] = map(operator.sub, values[c:], values)
+    return tuple(values)
 
 
 def _extend(prefix: list[int], caps: tuple[int, ...], pos: int, left: int,

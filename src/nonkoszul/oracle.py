@@ -27,17 +27,23 @@ _TOP_CAP = 8 * MATRIX_CAP ** 2 // 52     # bound on the top degree of a box
 
 
 def _check_pieces(caps: tuple[int, ...], *degrees: int) -> None:
-    """Raise ValueError for a box of top degree above _TOP_CAP = 3,846,153,
-    before its Hilbert function H is built, or for a degree slice of the box
-    above MATRIX_CAP monomials, read off H; degrees outside [0, top] have
-    empty slices.  H costs at most 52 bytes per degree: an int64 working
-    entry, then a tuple slot and an int of at most 36 bytes (it fits in
-    64 bits).  So the top-degree bound keeps H within the 200 MB of one int64
-    matrix of side MATRIX_CAP."""
+    """Raise ValueError for a box whose Hilbert function H would not fit in
+    the 200 MB of one int64 matrix of side MATRIX_CAP, before H is built, or
+    for a degree slice of the box above MATRIX_CAP monomials, read off H;
+    degrees outside [0, top] have empty slices.  An entry of H is at most
+    prod(caps) < 2^b, b the sum of c.bit_length(), so with a tuple slot and
+    a working list slot it costs at most 40 + 4*ceil(b/30) bytes (an int has
+    30-bit digits).  While b <= 90 that is 52 bytes, and the top-degree bound
+    _TOP_CAP = 3,846,153 keeps H within budget; above, the bit count does.
+    The build also holds the list of the step before, at most doubling it."""
     top = sum(caps) - len(caps)
     if top > _TOP_CAP:
         raise ValueError(f"box {caps} has top degree {top}, above {_TOP_CAP}, "
                          f"the Hilbert-function cap")
+    bits = sum(c.bit_length() for c in caps)
+    if top * (40 + 4 * -(-bits // 30)) > 8 * MATRIX_CAP ** 2:
+        raise ValueError(f"box {caps} has {top + 1} degrees of up to {bits} "
+                         f"bits, above the Hilbert-function cap")
     H = _hilbert_cached(caps)
     if any(0 <= j < len(H) and H[j] > MATRIX_CAP for j in degrees):
         raise ValueError(f"box {caps} has a graded piece larger than "
@@ -179,74 +185,50 @@ def _dimension_bound(H: tuple[int, ...], t: int) -> int:
     return next(i for i, h in enumerate(H) if i + t >= len(H) or h > H[i + t])
 
 
-def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
-    """Least degree of a kernel element of x f^{d_last} on the box d[:-1].
+def _scan(caps: tuple[int, ...], power: int, p: int,
+          want_witness: bool) -> tuple[int, dict[int, int], tuple | None]:
+    """Downward kernel scan of x f^power, f the sum of the variables, on the
+    box `caps`, with Hilbert function H and top degree `top`.  Returns
+    (i, ranks, witness): i the least source degree where the map has a
+    kernel, `ranks` the rank of each map ranked or mirrored, keyed by source
+    degree, and `witness` the canonical kernel vector of the map from i
+    (`linalg.kernel_witness`) when one is wanted.
 
-    Unit caps.  A cap of 1 makes its variable 0 in the box, so the scan runs
-    on the live box of the caps above 1.  Each degree slice of the full box
-    is a slice of the live box with a zero coordinate inserted at each unit
-    cap, in the same descending lex order, and f restricted to the live box
-    is the sum of its variables, so every matrix, rank and witness below is
-    the same on either box.  The witness keeps the full box, so its terms
-    keep their variable indices.  This uses no symmetry of E: d_last stays
-    the power, and only caps of the box are dropped.
+    U = `_dimension_bound(H, power)` is the least source degree with
+    H[U] > H[U + power] (H zero above top), so U <= top and the map from U
+    has a kernel by dimension count.  Kernels persist upward: a nonzero g of
+    degree s < top with f^power g = 0 is not in the socle, which is spanned
+    by x^{c-1} in degree top (c the caps), so x_k g != 0 for some k, and
+    f^power x_k g = 0 in degree s + 1.  For power 1: injectivity passes down
+    (Migliore, Miro-Roig and Nagel (2011), Prop. 2.1, for level algebras).
+    So the scan ranks down from U - 1 while the map has a kernel; i is the
+    lowest degree found to have one (0 if all do: source degree -1 is empty).
 
-    Let power = d_last, H the Hilbert function of the box and `top` its top
-    degree.  U = `_dimension_bound(H, power)` is the least source degree i
-    with H[i] > H[i + power] (H zero above top), so U <= top and the map from
-    source degree U has a kernel by dimension count.  Kernels persist upward:
-    a nonzero g of degree s < top with f^power g = 0 is not in the socle,
-    which is spanned by the single monomial x^{c-1} in degree top, so
-    x_i g != 0 for some i, and f^power x_i g = 0 in degree s + 1.  Hence the
-    scan runs down from source degree U - 1, one rank per degree, while the
-    map has a kernel.  With i the lowest source degree found to have a
-    kernel (0 if all do, as source degree -1 is empty), the answer is
-    d_last + i.  The witness (when requested) is the canonical kernel vector
-    of the map from source degree i (`linalg.kernel_witness`).
+    Degree 0.  The map from 0 has one column, sending 1 to f^power: the
+    terms of f^power that survive the box mod p (`_power_terms`).  Its rank
+    is 1 when there is one and 0 otherwise, with kernel vector (1,); no
+    matrix is built.
 
-    Degree 0.  M_0, the map from source degree 0, has the one column that
-    sends 1 to f^power: the coefficients of f^power that survive the box mod
-    p, which `_power_terms` lists.  So its rank is 1 when that list is
-    nonempty and 0 otherwise, its canonical kernel vector is (1,) when the
-    rank is 0, and no matrix is built.
+    Duality.  Let M_j be the map from source degree j by a form h of degree
+    t.  The complement x^a -> x^{c-1-a} sends the degree j basis onto the
+    degree top - j basis, reversing the descending lex order, and the entry
+    of M_j at (target x^b, source x^a) and that of M_{top-t-j} at
+    (x^{c-1-a}, x^{c-1-b}) are both the coefficient of x^{b-a} in h.  So
+    M_{top-t-j} is M_j transposed with rows and columns reversed (the
+    Gorenstein pairing A_j x A_{top-j} -> A_top makes them adjoint), of one
+    rank, and each rank found is recorded for the dual degree too.  When
+    2U = top - power + 1, M_{U-1} is the dual of M_U: with a witness wanted,
+    one elimination of M_U decides U - 1 and gives the witness should i be
+    U.  A scan step that finds a kernel keeps its witness, so the witness
+    costs a further elimination only at a degree ranked through its dual.
 
-    Duality.  Write M_j for the map from source degree j and c for the caps.
-    The complement x^a -> x^{c-1-a} sends the degree j basis onto the degree
-    top - j basis and reverses the descending lex order.  The entry of M_j
-    at (target x^b, source x^a) is the coefficient of x^{b-a} in f^power;
-    the entry of M_{top-power-j} at (x^{c-1-a}, x^{c-1-b}) is the
-    coefficient of the same monomial.  So M_{top-power-j} is M_j transposed
-    with its rows and columns reversed (the Gorenstein pairing
-    A_j x A_{top-j} -> A_top makes the two maps adjoint), and both have one
-    rank.  Each rank found is therefore recorded for the dual degree too,
-    and no dual is eliminated again.  When 2U = top - power + 1, M_{U-1} is
-    the dual of M_U: with a witness wanted, one elimination of M_U gives the
-    rank that decides U - 1 and the witness for an answer of d_last + U.  A
-    scan step that finds a kernel keeps its witness as well, so the witness
-    costs a further elimination only at a degree whose rank came from its
-    dual (U - 1 in that case).
-
-    At most one live variable, caps c (all caps 1 counts as c = 1): the live
-    box is k[x]/(x^c) with f = x, one monomial in each degree 0..c-1, and
-    H = (1,)*c is never built.  Then U = max(0, c - t) for t = d_last.  The
-    map from U - 1 (when U > 0) sends x^{U-1} to x^{c-1}, the 1 x 1 matrix
-    (1), so it is injective, and the map from U has no target.  So the
-    answer is t + U = max(c, t), and the canonical kernel vector of the map
-    from U is its one source coordinate, 1.
+    Unranked degrees, for power 1.  H is symmetric and unimodal, so
+    H[j] <= H[j + 1] for j < top/2 and U >= top/2: each degree j in
+    [U, top - 1] mirrors top - 1 - j <= U - 1.  So a degree j < top that
+    `ranks` lacks lies below i, where the map is injective, of rank
+    H[j] <= H[j + 1], or mirrors one that does, of rank
+    H[top - 1 - j] = H[j + 1] <= H[j]: either way min(H[j], H[j + 1]).
     """
-    p = check_prime(p)
-    d = check_box(d)
-    if len(d) == 1:
-        # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
-        return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
-    box, power = d[:-1], d[-1]
-    caps = tuple(c for c in box if c > 1)
-    if len(caps) <= 1:
-        c = max(box)
-        wit = KernelWitness(box=box, degree=max(c - power, 0),
-                            coefficients=(1,)) if want_witness else None
-        return EResult(value=max(c, power), method="oracle",
-                       degenerate=_degenerate(d), witness=wit)
     terms = _power_terms(caps, power, p)
     H = _hilbert_cached(caps)
     mirror = len(H) - 1 - power      # M_j and M_{mirror - j} share a rank
@@ -274,11 +256,45 @@ def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
         if ranks[i - 1] == H[i - 1]:
             break
         i -= 1
-    wit = None
-    if want_witness:
-        if i not in witnesses:
-            eliminate(i)
-        wit = KernelWitness(box=box, degree=i, coefficients=witnesses[i])
+    if want_witness and i not in witnesses:
+        eliminate(i)
+    return i, ranks, witnesses.get(i)
+
+
+def e_degree_oracle(p: int, d, want_witness: bool = True) -> EResult:
+    """Least degree of a kernel element of x f^{d_last} on the box d[:-1]:
+    d_last + i, with i from `_scan` (its docstring holds the proofs).
+
+    Unit caps.  A cap of 1 makes its variable 0 in the box, so the scan runs
+    on the live box of the caps above 1.  Each degree slice of the full box
+    is a slice of the live box with a zero coordinate inserted at each unit
+    cap, in the same descending lex order, and f restricted to the live box
+    is the sum of its variables, so every matrix, rank and witness is the
+    same on either box.  The witness keeps the full box, so its terms keep
+    their variable indices.  This uses no symmetry of E: d_last stays the
+    power, and only caps of the box are dropped.
+
+    At most one live variable, caps c (all caps 1 counts as c = 1): the live
+    box is k[x]/(x^c) with f = x, one monomial in each degree 0..c-1, and
+    H = (1,)*c is never built.  Then U = max(0, c - t) for t = d_last.  The
+    map from U - 1 (when U > 0) sends x^{U-1} to x^{c-1}, the 1 x 1 matrix
+    (1), so it is injective, and the map from U has no target.  So the
+    answer is t + U = max(c, t), and the canonical kernel vector of the map
+    from U is its one source coordinate, 1.
+    """
+    p = check_prime(p)
+    d = check_box(d)
+    if len(d) == 1:
+        # no box variables at all: f = 0 and f^{d_1} = 0 is itself a relation
+        return EResult(value=d[0], method="oracle", degenerate=True, witness=None)
+    box, power = d[:-1], d[-1]
+    caps = tuple(c for c in box if c > 1)
+    if len(caps) <= 1:
+        i, coeffs = max(max(box) - power, 0), (1,)
+    else:
+        i, _, coeffs = _scan(caps, power, p, want_witness)
+    wit = KernelWitness(box=box, degree=i,
+                        coefficients=coeffs) if want_witness else None
     return EResult(value=power + i, method="oracle",
                    degenerate=_degenerate(d), witness=wit)
 
@@ -315,40 +331,18 @@ def wlp_rank_profile(p: int, d) -> WlpReport:
     The verdict is True when every map has maximal rank, i.e. the quotient has
     the weak Lefschetz property in characteristic p.
 
-    Only degrees i <= top - 1 - i are ranked.  The complement
-    x^a -> x^{c-1-a} on the caps c sends the degree j basis onto the degree
-    top - j basis in reverse order, and x x_k sends x^a to x^{a+e_k} exactly
-    when it sends x^{c-1-a-e_k} to x^{c-1-a}.  So the map from degree
-    top - 1 - i is the map from degree i transposed with its rows and columns
-    reversed (the two are adjoint under the Gorenstein pairing
-    A_j x A_{top-j} -> A_top), and the two ranks are equal.
-
-    The lower half is ranked downward from degree (top + 1)//2 - 1 and stops
-    at the first injective map: every lower degree j then has rank H[j].
-    Injectivity passes down for j + 1 <= top.  If l = x_1 + ... + x_m is
-    injective from degree j + 1 and l g = 0 for some nonzero g of degree j,
-    then g is not in the socle, which is spanned by x^{c-1} in degree top,
-    so x_k g != 0 for some k, and l x_k g = x_k l g = 0 in degree j + 1, a
-    contradiction.  This is the socle argument of `e_degree_oracle`; for
-    level algebras it is Migliore, Miro-Roig and Nagel (2011), Prop. 2.1.
-    So a box with WLP costs one elimination.
+    The ranks come from `_scan` with power 1 on the whole box, unit caps
+    included, so a refusal names the box as given; each degree it leaves
+    unranked has rank min(H[j], H[j + 1]), as its docstring proves.  A box
+    with WLP costs at most one elimination.
     """
     caps = check_box(d)
     p = check_prime(p)
-    _check_pieces(caps)
+    _, ranks, _ = _scan(caps, 1, p, False)
     H = _hilbert_cached(caps)
-    top = len(H) - 1
-    terms = _power_terms(caps, 1, p)
-    low = list(H[:(top + 1) // 2])
-    for j in reversed(range(len(low))):
-        low[j] = rank(_shift_matrix(caps, j, 1, *terms, p))
-        if low[j] == H[j]:
-            break
-    # degree top - 1 - j mirrors degree j; for odd top the middle degree
-    # (top - 1)/2 is its own mirror
-    ranks = low + low[::-1][top % 2:]
-    records = tuple(WlpRecord(degree=i, dim_source=H[i], dim_target=H[i + 1],
-                              rank=r) for i, r in enumerate(ranks))
+    records = tuple(WlpRecord(degree=j, dim_source=H[j], dim_target=H[j + 1],
+                              rank=ranks.get(j, min(H[j], H[j + 1])))
+                    for j in range(len(H) - 1))
     return WlpReport(p=p, box=caps, records=records,
                      verdict=all(rec.maximal for rec in records))
 
@@ -360,10 +354,9 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     Let H be the Hilbert function of A (zero above its top degree `top`) and
     U = `_dimension_bound(H, a)`, the least i with H[i] > H[i + a]; U <= top,
     as H[top] = 1.  Then x g : A_U -> A_{U+a} has a kernel by dimension
-    count.  A is Gorenstein with socle x^{c-1} in degree top, so
-    A_i x A_{top-i} -> A_top is a perfect pairing, under which x g from
-    A_{j-a} to A_j is the transpose of x g from A_{top-j} to A_{top-j+a}.
-    So A/(g) is nonzero in degree top - U, and the top degree lies in
+    count.  By the duality in `_scan`'s docstring, x g from A_{j-a} to A_j
+    is the reversed transpose of x g from A_{top-j} to A_{top-j+a}.  So
+    A/(g) is nonzero in degree top - U, and the top degree lies in
     [top - U, top].  Vanishing of a graded piece of A/(g) propagates upward,
     so binary search finds it, one rank per probe.  Every probe degree is at
     least a: if a <= top, then i = top + 1 - a qualifies, so

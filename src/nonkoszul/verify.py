@@ -22,7 +22,7 @@ from .formulas import (NotApplicableError, _char0_value, _condition_char0,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
 from .modp import check_prime
-from .monomials import _hilbert_cached
+from .monomials import _as_int, _hilbert_cached
 from .oracle import (MATRIX_CAP, e_degree_oracle, socle_degree_oracle,
                      wlp_rank_profile)
 
@@ -31,10 +31,6 @@ def canonical_json(doc) -> str:
     """Stable rendering: sorted keys, no whitespace, trailing newline."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True) + "\n"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -75,21 +71,27 @@ class GridSpec:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in ("p_list", "n_list"):
-                want = "a list of integers"
-                ok = (isinstance(value, (list, tuple))
-                      and all(map(_is_int, value)))
-                if ok:
-                    object.__setattr__(self, f.name, tuple(value))
-            elif f.default is None or type(f.default) is int:
-                nullable = f.default is None
-                want = "an integer or null" if nullable else "an integer"
-                ok = _is_int(value) or (value is None and nullable)
-            else:
-                continue
-            if not ok:
+            try:
+                if f.name in ("p_list", "n_list"):
+                    want = "a list of integers"
+                    if not isinstance(value, (list, tuple)):
+                        raise ValueError
+                    value = tuple(map(_as_int, value))
+                elif f.default is None:
+                    want = "an integer or null"
+                    value = None if value is None else _as_int(value)
+                elif type(f.default) is int:
+                    want = "an integer"
+                    value = _as_int(value)
+                else:
+                    continue
+            except ValueError:
                 raise ValueError(f"grid field {f.name!r} must be {want}, "
-                                 f"got {value!r}")
+                                 f"got {value!r}") from None
+            object.__setattr__(self, f.name, value)
+            if f.name in ("p_list", "n_list") and len(set(value)) < len(value):
+                raise ValueError(f"grid field {f.name!r} must hold no "
+                                 f"repeated entries, got {list(value)}")
         if self.kind not in ("e", "wlp", "tsd", "fthreshold_convergence"):
             raise ValueError(f"unknown grid kind: {self.kind!r}")
         if self.paths not in ("all", "main", "han"):
@@ -359,7 +361,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
             for d in _fitting(points, spec.matrix_cap, buckets):
                 buckets["obs_equivalence"] += 1
                 profile = wlp_rank_profile(p, d).verdict
-                by_degree = cache.value(p, d) == _char0_value(d)
+                by_degree = _wlp_verdict(p, d, cache)
                 if profile != by_degree:
                     discrepancies.append({"check": "wlp_equivalence", "p": p,
                                           "d": list(d), "profile": profile,
@@ -452,10 +454,12 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     which the limit argument runs).  Where the signed deviation c - nu(q)/q
     increases from one reported row to the next, it records a
     `deviation_monotone` discrepancy rather than raising.  The arguments are
-    checked as the fields of a `GridSpec` of this kind.
+    checked and read as the fields of a `GridSpec` of this kind.
     """
-    GridSpec(kind="fthreshold_convergence", p=p, a=a, n=n, e_max=e_max,
-             matrix_cap=matrix_cap)
+    spec = GridSpec(kind="fthreshold_convergence", p=p, a=a, n=n,
+                    e_max=e_max, matrix_cap=matrix_cap)
+    p, a, n, e_max, matrix_cap = (spec.p, spec.a, spec.n, spec.e_max,
+                                  spec.matrix_cap)
     result = fthreshold_formula(p, a, n)
     rows = []
     discrepancies = []

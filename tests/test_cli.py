@@ -319,6 +319,9 @@ def test_single_fault_error_line(args, line, capsys):
     # the terms of f^72 are the degree 72 piece, 485,250 monomials
     (["e", "--p", "5", "--d", "30,30,30,30,30,72", "--method", "oracle"],
      "30, 30, 30, 30, 30"),
+    # the middle pieces pass 2^63 monomials, which an int64 H would wrap
+    (["wlp", "--p", "2", "--d", ",".join(["100"] * 12)],
+     ", ".join(["100"] * 12)),
 ])
 def test_dense_routes_refuse_oversized_boxes(args, box, capsys, monkeypatch):
     # (30, 30, 30, 30) has a graded piece of 18,010 monomials, above the

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ def test_hilbert_matches_convolution(caps):
     for c in caps:
         values = np.convolve(values, np.ones(c, dtype=np.int64))
     assert _hilbert_cached(tuple(caps)) == tuple(int(v) for v in values)
+
+
+def test_hilbert_is_exact_past_int64():
+    # pieces of (100,) * 12 reach 3.9e21 monomials and those of (20,) * 30
+    # pass 2^63 too; each degree matches inclusion-exclusion over the
+    # coordinates at or above the cap, in Python ints
+    for c, m in ((100, 12), (20, 30)):
+        values = _hilbert_cached((c,) * m)
+        assert max(values) > 2 ** 63
+        assert values == tuple(
+            sum((-1) ** k * comb(m, k) * comb(j - k * c + m - 1, m - 1)
+                for k in range(j // c + 1))
+            for j in range(m * (c - 1) + 1))
 
 
 def test_hilbert_symmetric_in_caps():

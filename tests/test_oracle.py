@@ -319,6 +319,15 @@ def test_wlp_profile_stops_at_the_first_injective_map(monkeypatch):
     assert len(report.records) == 12 and not report.verdict
 
 
+def test_wlp_profile_reads_degree_zero_off_its_column(monkeypatch):
+    # (2, 2) has top 2: the scan starts at the map from 0, whose one column
+    # is f = x1 + x2, so it is injective and nothing is eliminated
+    calls = count_eliminations(monkeypatch)
+    report = wlp_rank_profile(2, (2, 2))
+    assert calls == []
+    assert [r.rank for r in report.records] == [1, 1] and report.verdict
+
+
 def reference_wlp_records(p, caps):
     """One record per degree, each ranked on its own matrix."""
     h = hilbert_function(caps)
@@ -329,7 +338,7 @@ def reference_wlp_records(p, caps):
 
 
 def test_wlp_profile_matches_ranking_every_degree():
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 8191):
         for m in (2, 3, 4):
             for caps in itertools.combinations_with_replacement(
                     range(1, 6), m):
@@ -625,20 +634,34 @@ def test_relation_degree_checks_its_tuple_once(monkeypatch):
 
 def test_hilbert_function_is_bounded_before_it_is_built(monkeypatch):
     # every oracle refuses a box of top degree above _TOP_CAP before H is
-    # built; the top degree _TOP_CAP itself passes the check
+    # built; the top degree _TOP_CAP itself passes the check.  So is
+    # (2,) * 30000, of top degree 30,000 but with entries up to 2^30000:
+    # about 8 KB a degree, above the budget
     def small_hilbert(caps):
         assert sum(caps) - len(caps) <= oracle._TOP_CAP, caps
+        assert sum(c.bit_length() for c in caps) <= 90, caps
         return (1,)
 
     monkeypatch.setattr(oracle, "_hilbert_cached", small_hilbert)
-    deep = (oracle._TOP_CAP + 1, 2)
-    for call in (lambda: e_degree_oracle(2, deep + (3,)),
-                 lambda: wlp_rank_profile(2, deep),
-                 lambda: socle_degree_oracle(2, deep, 1),
-                 lambda: mult_map(deep, 0, 1, 2)):
-        with pytest.raises(ValueError, match="the Hilbert-function cap"):
-            call()
+    for deep in ((oracle._TOP_CAP + 1, 2), (2,) * 30000):
+        for call in (lambda: e_degree_oracle(2, deep + (3,)),
+                     lambda: wlp_rank_profile(2, deep),
+                     lambda: socle_degree_oracle(2, deep, 1),
+                     lambda: mult_map(deep, 0, 1, 2)):
+            with pytest.raises(ValueError, match="the Hilbert-function cap"):
+                call()
     oracle._check_pieces((oracle._TOP_CAP + 1,))
+
+
+def test_exact_hilbert_function_sizes_every_piece():
+    # the middle pieces of (100,) * 12 pass 2^63 monomials: the exact H
+    # refuses them, and the kernel bound reads the true dimensions
+    caps = (100,) * 12
+    with pytest.raises(ValueError, match="the dense-matrix cap"):
+        oracle._check_pieces(caps, 594)
+    H = _hilbert_cached(caps)
+    assert [oracle._dimension_bound(H, t) for t in (300, 500, 590, 700)] == \
+        [445, 345, 300, 245]
 
 
 def test_nu_values():

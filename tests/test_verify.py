@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from nonkoszul import linalg, oracle, verify
@@ -132,7 +133,9 @@ def test_grid_that_enumerates_no_point_is_refused(doc):
 
 def test_grid_eliminations_are_pinned(monkeypatch):
     # exact elimination counts of two small grids; the parent of the
-    # degree-0, unit-cap and first-injective-map rules took 298 and 97
+    # degree-0, unit-cap and first-injective-map rules took 298 and 97, and
+    # the WLP profile read degree 0 off its column from 47 on: the boxes
+    # (1, 2, 2, 2) and (2, 2, 2, 2) mod 2 each save one elimination
     calls = []
     echelon = linalg._echelon
 
@@ -148,7 +151,7 @@ def test_grid_eliminations_are_pinned(monkeypatch):
         calls.clear()
         assert run_grid(doc)["totals"]["discrepancies"] == 0
         counts.append(len(calls))
-    assert counts == [140, 47]
+    assert counts == [140, 45]
 
 
 def test_grid_matrix_cap_out_of_range_is_refused():
@@ -219,6 +222,14 @@ FTC = {"kind": "fthreshold_convergence", "p": 3, "a": 2, "n": 2, "e_max": 2}
     ({**E, "p_list": [2, 4]}, "grid field 'p_list': modulus 4 is not prime"),
     ({**FTC, "n": 1, "e_max": 4, "matrix_cap": 0},
      "grid field 'matrix_cap' must be at least 1, got 0"),
+    # a repeated prime or n would enumerate and count its points again
+    ({"kind": "tsd", "p_list": [2, 2], "n_list": [1, 1], "K_max": 3,
+      "a_max": 2}, "grid field 'p_list' must hold no repeated entries, "
+                   "got [2, 2]"),
+    ({**E, "p_list": [2, 3, 2]},
+     "grid field 'p_list' must hold no repeated entries, got [2, 3, 2]"),
+    ({**E, "n_list": [2, 2]},
+     "grid field 'n_list' must hold no repeated entries, got [2, 2]"),
 ])
 def test_grid_spec_refuses_alike_however_built(doc, message):
     builds = [lambda: GridSpec.from_dict(doc), lambda: GridSpec(**doc),
@@ -230,6 +241,22 @@ def test_grid_spec_refuses_alike_however_built(doc, message):
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def test_grid_spec_reads_numpy_integers():
+    # numpy integers pass as they do at every other public entry, stored as
+    # Python ints, so the report renders byte for byte as the int-built one
+    spec = GridSpec(kind="e", p_list=[np.int64(3)], n_list=[np.int8(2)],
+                    sum_max=np.int64(6), matrix_cap=np.int32(100))
+    assert type(spec.p_list[0]) is int and type(spec.sum_max) is int
+    doc = {"kind": "e", "p_list": [3], "n_list": [2], "sum_max": 6,
+           "matrix_cap": 100}
+    assert canonical_json(verify.verify_e_grid(spec)) == \
+        canonical_json(run_grid(doc))
+    # the convergence table reads its arguments through the same spec
+    assert canonical_json(fthreshold_convergence(
+        np.int64(3), np.int32(2), np.int8(2), np.int64(2))) == \
+        canonical_json(fthreshold_convergence(3, 2, 2, 2))
 
 
 def test_e_grid_two_degrees_is_oracle_only():
@@ -301,7 +328,9 @@ def _sha256(report) -> str:
 
 def test_agreements_count_failing_points_once(monkeypatch):
     # a forced WLP verdict makes some five-cap points fail twice (wrong
-    # classification and unexpected pass); each still costs one agreement
+    # classification and unexpected pass); each still costs one agreement.
+    # The equivalence section reads the same verdict, so its 7 points whose
+    # profile lacks WLP fail as well
     monkeypatch.setattr(verify, "_wlp_verdict", lambda p, d, cache: True)
     report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [3],
                        "sum_max": 10, "d_max": 6, "d_max_n4": 5,
@@ -310,15 +339,15 @@ def test_agreements_count_failing_points_once(monkeypatch):
     failing = {(rec["p"], tuple(rec["d"])) for rec in report["discrepancies"]}
     assert totals["discrepancies"] > len(failing)
     assert totals["agreements"] == totals["checked"] - len(failing) >= 0
-    # the bytes pin the order of the 88 discrepancy records
-    assert totals["discrepancies"] == 88
+    # the bytes pin the order of the 95 discrepancy records
+    assert totals["discrepancies"] == 95
     assert _sha256(report) == \
-        "169e24e9f4d25a1512e6fda73a7d375d2d75a1386f1d0a798c7d4886e7826927"
+        "45051893ff21ae0e18707156d428b1129bb5dc8649afe209f7d80889faf7d44f"
     # and so do the bytes of their CSV
     csv_bytes = discrepancies_csv(report).encode()
-    assert len(csv_bytes) == 3949
+    assert len(csv_bytes) == 4371
     assert hashlib.sha256(csv_bytes).hexdigest() == \
-        "0dd19f5f5690f685494111cbba63752e0d721a6c0e688d43c1b7c00f9016faba"
+        "963261bbe01857ec6b9ef137b51d30bce0619d78b4629b0d2797d0eccb1b4827"
 
 
 def test_report_bytes_are_pinned():
