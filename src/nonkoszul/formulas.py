@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, product
 from operator import add, not_
 
@@ -90,25 +91,26 @@ def _splits(k, r, every: bool = True):
         yield eps, tuple(map(add, k, eps)), sum(compress(r, map(not_, eps)))
 
 
-def _split_minimum(p: int, q: int, k: tuple[int, ...],
-                   r: tuple[int, ...]) -> int:
-    """min over epsilon in {0,1}^(n+1) of q*_ep_base(k + epsilon) plus the
-    remainders at the coordinates where epsilon is 0.  The caller has checked
-    that p is prime, every k_i lies in [1, p - 1] and every r_i in [0, q), so
-    every entry of k + epsilon lies in [1, p].
+def _split_minimum(q: int, k, r, leaf) -> int:
+    """min over epsilon in {0,1}^len(k) with every k_i + epsilon_i >= 1 of
+    q*leaf(k + epsilon) plus the r_i where epsilon_i = 0, for a base-q split
+    d = kq + r of a positive d.  The leaf is `_ep_base` in `ep_main` and
+    `_refused_minimum`, `_char0_value` in `ep_han`, and E in `tsd_formula`.
 
-    Only the epsilon with epsilon_i = 0 wherever r_i = 0 can win, so only
-    those are formed.  Setting such an epsilon_i to 1 leaves the remainder sum
-    as it is and raises entry i of k + epsilon, and `_ep_base` is
-    nondecreasing in each entry: it is the larger of the largest entry and
-    min(ceil((sum - n + 1)/2), p), both nondecreasing in every entry."""
-    return min(q * _ep_base(p, kk) + rest
-               for _, kk, rest in _splits(k, r, every=False))
+    Only the epsilon of `_splits(k, r, every=False)` are formed.  For a leaf
+    nondecreasing in each entry no other wins: where r_i = 0, k_i = d_i/q >= 1,
+    so setting epsilon_i to 0 keeps every entry positive and the remainder sum
+    and lowers entry i.  `_char0_value` (ceil((sum - n + 1)/2)) and `_ep_base`
+    (the larger of the largest entry and min(that, p)) are such leaves.  For
+    `tsd_formula` no other epsilon names a residue block."""
+    return min(q * leaf(kk) + rest
+               for _, kk, rest in _splits(k, r, every=False) if 0 not in kk)
 
 
 def ep_main(p: int, d) -> EResult:
-    """Main closed form for n >= 3: the q-split minimum, when the tuple has a
-    uniform largest prime power, k in [1, p-1], and the balance condition."""
+    """Main closed form for n >= 3: `_split_minimum` with leaf `_ep_base` on
+    the split `applicability` holds, when the tuple has a uniform largest
+    prime power, k in [1, p-1], and the balance condition."""
     rep = applicability(p, d)
     d = rep.d
     if len(d) < 4:
@@ -116,7 +118,7 @@ def ep_main(p: int, d) -> EResult:
     if rep.failing:
         raise NotApplicableError(rep.failing)
     # applicability checked p and d and, with no failing flag, every k_i
-    value = _split_minimum(p, rep.q, rep.k, rep.r)
+    value = _split_minimum(rep.q, rep.k, rep.r, partial(_ep_base, p))
     if rep.q > 1:
         method = "main"
     else:
@@ -137,14 +139,13 @@ def _refused_minimum(p: int, d) -> int | None:
     rep = applicability(p, d)
     if "main_thm_k_range" in rep.failing:
         return None
-    return _split_minimum(p, rep.q, rep.k, rep.r)
+    return _split_minimum(rep.q, rep.k, rep.r, partial(_ep_base, p))
 
 
 def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
-    """Two-variable closed form, valid under the triangle inequality: minimum
-    over q = p^e and epsilon in {0,1}^3 of
-    q*ceil((sum(k + eps) - 1)/2) + remainders at epsilon = 0,
-    keeping only terms where every k_i + eps_i >= 1.
+    """Two-variable closed form, valid under the triangle inequality: the
+    least `_split_minimum` with leaf `_char0_value`, ceil((sum(k + eps) -
+    1)/2), over the base-q splits of d at every q = p^e.
 
     The scan continues past min(d): once q exceeds a degree d_i the split
     forces k_i = 0 and eps_i = 1, and those terms still matter.  Over F_2
@@ -158,9 +159,8 @@ def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
     values = []
     q = 1
     while q <= sum(d):
-        values += [q * (sum(kk) // 2) + rest for _, kk, rest in
-                   _splits([x // q for x in d], [x % q for x in d])
-                   if 0 not in kk]
+        values.append(_split_minimum(q, [x // q for x in d],
+                                     [x % q for x in d], _char0_value))
         q *= p
     return min(values)
 
@@ -196,9 +196,7 @@ def ep_dispatch(p: int, d, method: str = "auto",
 def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     """Top socle degree of the box on caps K cut by the degree-a diagonal
     form g = x_1^a + ... + x_m^a.  With K_i = a*k_i + e_i it is
-    sum(K) - m + a minus the least a*E(c) + (the e_i where eps_i = 0) over
-    the splits c = k + eps of `_splits` with every c_i >= 1 and eps_i = 1
-    only where e_i >= 1.
+    sum(K) - m + a minus `_split_minimum(a, k, e, E)`.
 
     Multiplying by g keeps the residue mod a of every exponent, so the
     quotient is a direct sum of residue blocks x^r * k[y]/(y^c, sum y), with
@@ -212,18 +210,16 @@ def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     top degree is a*(|c| - m + 1 - E(c)) + |r|, which is the term
     sum(K) - m + a - a*E(c) - (the e_i where eps_i = 0).
 
-    Since eps_i = 1 needs r_i < e_i, no block has eps_i = 1 where e_i = 0,
-    and `_splits` forms only the eps that step up a nonzero e_i.  Each E(c)
-    comes from `ep_dispatch` by the route `method`."""
+    Since eps_i = 1 needs r_i < e_i, no block has eps_i = 1 where e_i = 0.
+    Each E(c) comes from `ep_dispatch` by the route `method`."""
     check_prime(p)
     K = check_box(K)
     a = _as_int(a)
     if a < 1:
         raise ValueError("exponent a must be positive")
     k, e = zip(*(divmod(Ki, a) for Ki in K))
-    return sum(K) - len(K) + a - min(
-        a * ep_dispatch(p, c, method, want_witness=False).value + rest
-        for _, c, rest in _splits(k, e, every=False) if 0 not in c)
+    return sum(K) - len(K) + a - _split_minimum(
+        a, k, e, lambda c: ep_dispatch(p, c, method, want_witness=False).value)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ def canonical_json(doc) -> str:
 @dataclass(frozen=True)
 class GridSpec:
     """Declarative description of one verification grid.  Every field is
-    checked here, however the spec is built; p_list and n_list become tuples.
+    checked here, however the spec is built; p_list and n_list become sorted
+    tuples once checked, so messages show them as given.
     A bound or matrix cap below 1 would check nothing, and a cap above
     MATRIX_CAP would admit points the builder refuses, stopping the run."""
 
@@ -122,10 +123,12 @@ class GridSpec:
                     "fthreshold_convergence grid needs p, a, n, e_max")
             if self.e_max < 0:
                 raise ValueError(f"need e_max >= 0, got {self.e_max}")
+        for key in ("p_list", "n_list"):
+            object.__setattr__(self, key, tuple(sorted(getattr(self, key))))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "p_list": sorted(self.p_list),
-                "n_list": sorted(self.n_list)}
+        return {**asdict(self), "p_list": list(self.p_list),
+                "n_list": list(self.n_list)}
 
 
 def _simplex(m: int, sum_max: int, nondecreasing: bool = False):
@@ -143,11 +146,11 @@ def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
     return max(_hilbert_cached(d)) <= cap
 
 
-def _fitting(points, cap: int, buckets: dict, box=slice(None)):
-    """The points whose box, point[box], has no graded piece above cap; each
+def _fitting(points, cap: int, buckets: dict, box=lambda d: d):
+    """The points whose box, box(point), has no graded piece above cap; each
     other point is counted in buckets["skipped"]."""
     for d in points:
-        if _box_feasible(d[box], cap):
+        if _box_feasible(box(d), cap):
             yield d
         else:
             buckets["skipped"] += 1
@@ -221,7 +224,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
     # nothing they read changes when d is rearranged: the q range (q <= min d),
     # the multiset of sorted keys k + eps with their rest (permute eps with
     # d), the sorted keys of the bumped tuples (bumping an entry of value v
-    # gives one key however d is ordered), and `in_grid`, a sum or a max.  So
+    # gives one key however d is ordered), and `in_grid`, a sum and a max.  So
     # when one arrangement of a multiset passes both with no discrepancy, so
     # does every other, with the same two counts, which `clean` keeps by p and
     # the sorted tuple.  An arrangement with a discrepancy stores nothing, so
@@ -232,24 +235,27 @@ def verify_e_grid(spec: GridSpec) -> dict:
     clean: dict[tuple, tuple[int, int]] = {}
 
     def in_grid(d):
-        if spec.sum_max is not None:
-            return sum(d) <= spec.sum_max
-        return max(d) <= spec.d_max
+        return ((spec.sum_max is None or sum(d) <= spec.sum_max)
+                and (spec.d_max is None or max(d) <= spec.d_max))
 
-    for p in sorted(spec.p_list):
-        for n in sorted(spec.n_list):
+    def claimed(p, d):
+        try:
+            return ep_dispatch(p, d, "formula")
+        except NotApplicableError:
+            return None
+
+    for p in spec.p_list:
+        for n in spec.n_list:
             tuples = (_simplex(n + 1, spec.sum_max) if spec.sum_max is not None
                       else product(range(1, spec.d_max + 1), repeat=n + 1))
-            points = (d for d in tuples if spec.paths == "all" or (
-                n >= 3 and not applicability(p, d).failing
-                if spec.paths == "main" else n == 2 and 2 * max(d) <= sum(d)))
-            for d in _fitting(points, spec.matrix_cap, buckets,
-                              slice(None, -1)):
+            points = ((d, claimed(p, d)) for d in filter(in_grid, tuples))
+            if spec.paths != "all":     # the points its closed form answers
+                points = ((d, res) for d, res in points if res is not None
+                          and (res.method == "han") == (spec.paths == "han"))
+            for d, res in _fitting(points, spec.matrix_cap, buckets,
+                                   lambda point: point[0][:-1]):
                 oracle_value = cache.value(p, d)
-                # formula-vs-oracle on whichever closed form claims the point
-                try:
-                    res = ep_dispatch(p, d, "formula")
-                except NotApplicableError:
+                if res is None:
                     buckets["oracle_only"] += 1
                 else:
                     buckets[res.method] += 1
@@ -312,13 +318,11 @@ def verify_e_grid(spec: GridSpec) -> dict:
             # rearrangement.  The sorted one is d itself, whose raw call is the
             # very call `cache` makes on its sorted key, so it comes from there.
             if n in (2, 3):
-                limit = spec.symmetry_sum_max
-                if spec.sum_max is not None:
-                    limit = min(limit, spec.sum_max)
-                for d in _simplex(n + 1, limit, nondecreasing=True):
+                for d in _simplex(n + 1, spec.symmetry_sum_max,
+                                  nondecreasing=True):
                     # d is sorted, so d[1:] is the largest box it rearranges to
-                    if (spec.d_max is not None and max(d) > spec.d_max
-                            or not _box_feasible(d[1:], spec.matrix_cap)):
+                    if not in_grid(d) or not _box_feasible(d[1:],
+                                                           spec.matrix_cap):
                         continue
                     checks["symmetry_classes"] += 1
                     values = {perm: cache.value(p, d) if perm == d else
@@ -352,8 +356,8 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
     verdict_true: list[tuple[int, int, int, tuple[int, ...]]] = []
 
     # criterion-vs-profile equivalence under the characteristic-zero condition
-    for p in sorted(spec.p_list):
-        for n in sorted(spec.n_list):
+    for p in spec.p_list:
+        for n in spec.n_list:
             if spec.sum_max is None:
                 continue
             points = filter(_condition_char0, _simplex(
@@ -375,7 +379,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                               (4, wlp_classify_n4, spec.d_max_n4)):
         if cube is None:
             continue
-        for p in sorted(spec.p_list):
+        for p in spec.p_list:
             unexpected = []     # five-cap passes besides the sporadic one
             points = combinations_with_replacement(
                 range(p, min(cube, p * p - 1) + 1), n + 1)
@@ -400,7 +404,7 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                                   "d": list(d)} for d in unexpected)
 
     # six caps with q > 1 must all fail
-    for p in sorted(spec.p_list):
+    for p in spec.p_list:
         points = combinations_with_replacement(
             range(p, min(spec.d_max_n5, p * p - 1) + 1), 6)
         for d in _fitting(points, spec.matrix_cap, buckets):
@@ -428,8 +432,8 @@ def verify_tsd_grid(spec: GridSpec) -> dict:
     """Socle-degree formula against the diagonal-form rank oracle."""
     buckets = {"checked": 0, "skipped": 0}
     discrepancies: list[dict] = []
-    for p in sorted(spec.p_list):
-        for n in sorted(spec.n_list):
+    for p in spec.p_list:
+        for n in spec.n_list:
             for a in range(1, spec.a_max + 1):
                 if a % p == 0:
                     continue

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -55,10 +56,13 @@ def test_ep_base_values():
 
 
 def test_min_function_worked_cases():
-    assert _split_minimum(5, 5, (1, 1, 2, 2), (1, 2, 1, 2)) == 16
-    assert _split_minimum(5, 5, (1, 1, 1, 3), (2, 2, 2, 3)) == 20
+    assert _split_minimum(5, (1, 1, 2, 2), (1, 2, 1, 2),
+                          partial(_ep_base, 5)) == 16
+    assert _split_minimum(5, (1, 1, 1, 3), (2, 2, 2, 3),
+                          partial(_ep_base, 5)) == 20
     # all remainders zero: epsilon = 0 dominates and the value is q * base
-    assert _split_minimum(3, 3, (1, 1, 1, 1), (0, 0, 0, 0)) == 3 * _ep_base(3, (1, 1, 1, 1))
+    leaf = partial(_ep_base, 3)
+    assert _split_minimum(3, (1,) * 4, (0,) * 4, leaf) == 3 * leaf((1,) * 4)
 
 
 def test_split_minima_form_only_the_terms_that_can_win(monkeypatch):
@@ -76,7 +80,8 @@ def test_split_minima_form_only_the_terms_that_can_win(monkeypatch):
     assert calls == [(2,) * 40] * 2
     # two nonzero remainders: the four terms that step them up
     calls.clear()
-    assert _split_minimum(5, 5, (1, 1, 2, 2), (0, 2, 0, 3)) == 15
+    assert _split_minimum(5, (1, 1, 2, 2), (0, 2, 0, 3),
+                          partial(formulas._ep_base, 5)) == 15
     assert sorted(calls) == [(1, 1, 2, 2), (1, 1, 2, 3), (1, 2, 2, 2),
                              (1, 2, 2, 3)]
 
@@ -90,7 +95,7 @@ def test_split_minima_match_every_epsilon():
         k = tuple(rng.randint(1, p - 1) if p > 2 else 1
                   for _ in range(rng.randint(1, 7)))
         r = tuple(rng.choice([0, rng.randrange(q)]) for _ in k)
-        assert _split_minimum(p, q, k, r) == min(
+        assert _split_minimum(q, k, r, partial(_ep_base, p)) == min(
             q * _ep_base(p, kk) + rest for _, kk, rest in _splits(k, r))
         a = rng.randint(1, 6)
         K = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
@@ -99,6 +104,17 @@ def test_split_minima_match_every_epsilon():
             a * ep_dispatch(p, c, want_witness=False).value + rest
             for eps, c, rest in _splits(k, e)
             if 0 not in c and all(ei <= ri for ei, ri in zip(eps, e)))
+        # Han's formula: q*ceil((sum(k + eps) - 1)/2) plus the remainders,
+        # over every q = p^e <= sum(d) and every eps with no zero entry
+        d = tuple(rng.randint(1, 30) for _ in range(3))
+        if 2 * max(d) <= sum(d):
+            assert ep_han(p, *d) == min(
+                q * (sum(kk) // 2) + rest
+                for q in (p ** e for e in range(sum(d).bit_length()))
+                if q <= sum(d)
+                for _, kk, rest in _splits([x // q for x in d],
+                                           [x % q for x in d])
+                if 0 not in kk), (p, d)
 
 
 def test_main_form_checks_its_input_once(monkeypatch):

@@ -88,6 +88,18 @@ def test_e_grid_paths_filter():
     assert han_only["totals"]["discrepancies"] == 0
 
 
+def test_e_grid_applies_both_bounds():
+    # given sum_max and d_max, the points, the unit steps and the symmetry
+    # classes all lie within both: the 27 triples with entries <= 3, not the
+    # 84 with sum <= 9
+    report = run_grid({"kind": "e", "p_list": [3], "n_list": [2],
+                       "sum_max": 9, "d_max": 3})
+    assert report["totals"]["enumerated"] == report["totals"]["checked"] == 27
+    assert report["totals"]["discrepancies"] == 0
+    assert report["checks"]["monotonicity"] == 54
+    assert report["checks"]["symmetry_classes"] == 10
+
+
 def test_e_grid_symmetry_section_honours_matrix_cap():
     # a symmetry class is ranked only when its largest box fits the cap;
     # the main loop skips 20 of the 56 points of this grid
