@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     try:
         text, code = _COMMANDS[args.command](args)
         _emit(text, args.output)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return code

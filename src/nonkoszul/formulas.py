@@ -1,9 +1,10 @@
 """Closed-form layer: relation-degree formulas, top socle degrees, diagonal
 F-thresholds, and weak Lefschetz verdicts.
 
-Every function here computes from arithmetic on the degree tuple alone; the
-rank computations live in `oracle` and stay strictly separate so the two
-routes can be pitted against each other on verification grids.
+Rank computations live in `oracle`, so `verify` can pit the two routes against
+each other.  `ep_main`, `ep_han`, `fthreshold_formula` and the WLP classifiers
+and filter are arithmetic alone.  `ep_dispatch` falls back to the rank oracle
+where no closed form applies; `tsd_formula` and `wlp_criterion` read E from it.
 """
 
 from __future__ import annotations
@@ -247,10 +248,7 @@ class FThresholdResult:
 
 def frac_str(x: Fraction) -> str:
     """Exact decimal-free rendering, 'num/den' or plain integer string."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:

@@ -346,8 +346,8 @@ def _wlp_verdict(p: int, d, cache: _OracleCache) -> bool:
 
 def verify_wlp_grid(spec: GridSpec) -> dict:
     """Weak Lefschetz checks: criterion-vs-profile equivalence, the closed
-    classifications for four and five caps, the six-cap exclusion, and
-    feasibility-filter consistency."""
+    classifications for four and five caps, and the feasibility filter on
+    every box with WLP, six-cap boxes included."""
     buckets = {"obs_equivalence": 0, "n3_classified": 0, "n3_out_of_scope": 0,
                "n4_classified": 0, "n4_out_of_scope": 0, "n5_checked": 0,
                "n5_out_of_scope": 0, "filter_checked": 0, "skipped": 0}
@@ -380,7 +380,6 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
         if cube is None:
             continue
         for p in spec.p_list:
-            unexpected = []     # five-cap passes besides the sporadic one
             points = combinations_with_replacement(
                 range(p, min(cube, p * p - 1) + 1), n + 1)
             for d in _fitting(points, spec.matrix_cap, buckets):
@@ -398,25 +397,20 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                                           "profile": actual})
                 if actual:
                     verdict_true.append((n, p, applicability(p, d).q, d))
-                    if n == 4 and not (p == 3 and d == (4, 4, 4, 4, 5)):
-                        unexpected.append(d)
-            discrepancies.extend({"check": "wlp_n4_unexpected_pass", "p": p,
-                                  "d": list(d)} for d in unexpected)
 
-    # six caps with q > 1 must all fail
+    # six caps with q > 1, which the feasibility filter excludes
     for p in spec.p_list:
         points = combinations_with_replacement(
             range(p, min(spec.d_max_n5, p * p - 1) + 1), 6)
         for d in _fitting(points, spec.matrix_cap, buckets):
             try:
-                _scope_report(p, d, 6)
+                q = _scope_report(p, d, 6).q
             except NotApplicableError:
                 buckets["n5_out_of_scope"] += 1
                 continue
             buckets["n5_checked"] += 1
             if _wlp_verdict(p, d, cache):
-                discrepancies.append({"check": "wlp_n5_exclusion", "p": p,
-                                      "d": list(d), "profile": True})
+                verdict_true.append((5, p, q, d))
 
     # no tuple with WLP may be excluded by the feasibility filter
     for n, p, q, d in verdict_true:
@@ -455,10 +449,11 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     """Socle-degree sequence against the closed-form threshold.
 
     Reports one row per feasible q = p^e with q = 1 mod a (the subsequence on
-    which the limit argument runs).  Where the signed deviation c - nu(q)/q
-    increases from one reported row to the next, it records a
-    `deviation_monotone` discrepancy rather than raising.  The arguments are
-    checked and read as the fields of a `GridSpec` of this kind.
+    which the limit argument runs).  It records, rather than raises, a
+    `nu_formula` discrepancy where the oracle's nu(q) differs from
+    `tsd_formula`'s, and a `deviation_monotone` one where the signed
+    deviation c - nu(q)/q increases from one reported row to the next.  The
+    arguments are checked and read as the fields of a `GridSpec` of this kind.
     """
     spec = GridSpec(kind="fthreshold_convergence", p=p, a=a, n=n,
                     e_max=e_max, matrix_cap=matrix_cap)
@@ -480,6 +475,9 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
                             "peak_dimension": peak})
             continue
         nu = socle_degree_oracle(p, (q,) * (n + 1), a)
+        if nu != (formula := tsd_formula(p, (q,) * (n + 1), a)):
+            discrepancies.append({"check": "nu_formula", "e": e, "q": q,
+                                  "nu": nu, "formula": formula})
         ratio = Fraction(nu, q)
         dev = result.c - ratio
         bound = Fraction(5 * (n + 2), q)

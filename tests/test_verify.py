@@ -339,10 +339,12 @@ def _sha256(report) -> str:
 
 
 def test_agreements_count_failing_points_once(monkeypatch):
-    # a forced WLP verdict makes some five-cap points fail twice (wrong
-    # classification and unexpected pass); each still costs one agreement.
-    # The equivalence section reads the same verdict, so its 7 points whose
-    # profile lacks WLP fail as well
+    # a forced WLP verdict fails 7 equivalence points (their profile lacks
+    # WLP), 48 four- and five-cap classifications and 14 six-cap boxes (the
+    # feasibility filter excludes them).  Only (2,2,2,2) and (2,2,2,3) mod 2
+    # fail twice: they sit in both the equivalence and four-cap sections, the
+    # double count a later digest change removes.  Each still costs one
+    # agreement.
     monkeypatch.setattr(verify, "_wlp_verdict", lambda p, d, cache: True)
     report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [3],
                        "sum_max": 10, "d_max": 6, "d_max_n4": 5,
@@ -351,15 +353,30 @@ def test_agreements_count_failing_points_once(monkeypatch):
     failing = {(rec["p"], tuple(rec["d"])) for rec in report["discrepancies"]}
     assert totals["discrepancies"] > len(failing)
     assert totals["agreements"] == totals["checked"] - len(failing) >= 0
-    # the bytes pin the order of the 95 discrepancy records
-    assert totals["discrepancies"] == 95
+    assert len(failing) == 67 and totals["agreements"] == 26
+    # the bytes pin the order of the 69 discrepancy records
+    assert totals["discrepancies"] == 69
     assert _sha256(report) == \
-        "45051893ff21ae0e18707156d428b1129bb5dc8649afe209f7d80889faf7d44f"
+        "9b9e5f8fb1de110fca3d61f077a9747fa87954bf753745edfa4f567748fa6a38"
     # and so do the bytes of their CSV
     csv_bytes = discrepancies_csv(report).encode()
-    assert len(csv_bytes) == 4371
+    assert len(csv_bytes) == 3343
     assert hashlib.sha256(csv_bytes).hexdigest() == \
-        "963261bbe01857ec6b9ef137b51d30bce0619d78b4629b0d2797d0eccb1b4827"
+        "d4597d83e3ee9eb03f3fcd120cc78c406504658416adaeb00d84deae83263527"
+
+
+def test_six_cap_passes_fail_the_feasibility_filter(monkeypatch):
+    # the six-cap section hands each box with WLP to the feasibility filter,
+    # which excludes every q > 1, so a forced verdict fails all 14 boxes
+    # there, once each
+    monkeypatch.setattr(verify, "_wlp_verdict", lambda p, d, cache: True)
+    report = run_grid({"kind": "wlp", "p_list": [2, 3], "n_list": [],
+                       "d_max_n4": 0, "d_max_n5": 4})
+    buckets = report["buckets"]
+    assert buckets["n5_checked"] == buckets["filter_checked"] == 14
+    assert [(rec["check"], rec["n"]) for rec in report["discrepancies"]] == \
+        [("feasibility_filter", 5)] * 14
+    assert report["totals"]["agreements"] == 0
 
 
 def test_report_bytes_are_pinned():
@@ -435,6 +452,19 @@ def test_fthreshold_convergence_report():
     assert report["totals"]["discrepancies"] == 0
     # deviations shrink in absolute value once past the first entries
     assert rows[-1]["deviation"] == "-1/9"
+
+
+def test_fthreshold_convergence_checks_nu_against_formula(monkeypatch):
+    # each reported nu(q) is compared with the closed form's; a formula off
+    # by one writes one record per row
+    real = verify.tsd_formula
+    monkeypatch.setattr(verify, "tsd_formula",
+                        lambda p, K, a: real(p, K, a) + 1)
+    report = fthreshold_convergence(3, 2, 2, 3)
+    assert [(rec["check"], rec["q"], rec["formula"] - rec["nu"])
+            for rec in report["discrepancies"]] == \
+        [("nu_formula", row["q"], 1) for row in report["rows"]]
+    assert [rec["nu"] for rec in report["discrepancies"]] == [0, 3, 12, 39]
 
 
 def test_fthreshold_convergence_skips_oversized_boxes():
