@@ -15,8 +15,8 @@ from functools import partial
 from itertools import compress, product
 from operator import add, not_
 
-from .modp import check_prime, largest_power_leq
-from .monomials import _as_int, check_box
+from .modp import _as_int, check_prime, largest_power_leq
+from .monomials import check_box
 from .oracle import EResult, _degenerate, e_degree_oracle
 
 

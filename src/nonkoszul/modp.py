@@ -25,12 +25,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _as_int(value) -> int:
+    """An integer argument as a Python int, read by operator.index so numpy
+    integers pass; a bool, a str, a float or any other value raises
+    ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def check_prime(p: int) -> int:
-    """Return p if it is a prime below 2^31, else raise ValueError.  p is
-    read as `monomials._as_int` reads an integer."""
-    if isinstance(p, bool) or not hasattr(type(p), "__index__"):
-        raise ValueError(f"expected an integer, got {p!r}")
-    p = operator.index(p)
+    """Return p if it is a prime below 2^31, else raise ValueError."""
+    p = _as_int(p)
     if p >= MAX_PRIME:
         raise ValueError(f"modulus {p} too large (must be < 2^31)")
     if not is_prime(p):

@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-
-def _as_int(value) -> int:
-    """An integer argument as a Python int, read by operator.index so numpy
-    integers pass; a bool, a str, a float or any other value raises
-    ValueError."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+from .modp import _as_int
 
 
 def check_box(caps: Sequence[int]) -> tuple[int, ...]:

@@ -19,8 +19,8 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import MatrixFp, kernel_witness, rank
-from .modp import check_prime
-from .monomials import _as_int, _hilbert_cached, _slice_cached, check_box
+from .modp import _as_int, check_prime
+from .monomials import _hilbert_cached, _slice_cached, check_box
 
 MATRIX_CAP = 5000    # bound on each side of a dense multiplication matrix
 _TOP_CAP = 8 * MATRIX_CAP ** 2 // 52     # bound on the top degree of a box

@@ -21,8 +21,8 @@ from .formulas import (NotApplicableError, _char0_value, _condition_char0,
                        fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
-from .modp import check_prime
-from .monomials import _as_int, _hilbert_cached
+from .modp import _as_int, check_prime
+from .monomials import _hilbert_cached
 from .oracle import (MATRIX_CAP, e_degree_oracle, socle_degree_oracle,
                      wlp_rank_profile)
 
@@ -46,8 +46,8 @@ class GridSpec:
     n_list: tuple[int, ...] = ()
     sum_max: int | None = None      # simplex bound on sum(d)
     d_max: int | None = None        # cube bound on each d_i
-    d_max_n4: int = 8               # wlp: cube bound for the five-cap section
-    d_max_n5: int = 6               # wlp: cube bound for the six-cap section
+    d_max_n4: int = 8               # wlp: cube bound for the five-cap row
+    d_max_n5: int = 6               # wlp: cube bound for the six-cap row
     K_max: int | None = None        # tsd: cube bound on caps
     a_max: int | None = None        # tsd: diagonal exponents 1..a_max
     p: int | None = None            # fthreshold_convergence
@@ -345,9 +345,11 @@ def _wlp_verdict(p: int, d, cache: _OracleCache) -> bool:
 
 
 def verify_wlp_grid(spec: GridSpec) -> dict:
-    """Weak Lefschetz checks: criterion-vs-profile equivalence, the closed
-    classifications for four and five caps, and the feasibility filter on
-    every box with WLP, six-cap boxes included."""
+    """Weak Lefschetz checks: criterion-vs-profile equivalence, then three
+    classification rows (four caps and five caps against their closed
+    classifiers, six caps in scope alone), then the feasibility filter on
+    every box with WLP.  The rows walk entries in [p, p^2 - 1], so each of
+    their boxes has q = p."""
     buckets = {"obs_equivalence": 0, "n3_classified": 0, "n3_out_of_scope": 0,
                "n4_classified": 0, "n4_out_of_scope": 0, "n5_checked": 0,
                "n5_out_of_scope": 0, "filter_checked": 0, "skipped": 0}
@@ -373,10 +375,14 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                 if profile:
                     verdict_true.append((n, p, applicability(p, d).q, d))
 
-    # closed classifications for four caps (cube bound d_max) and five caps
-    # (d_max_n4, where one sporadic multiset passes), uniform q = p
+    # the classification rows: four caps (cube bound d_max) and five caps
+    # (d_max_n4, where one sporadic multiset passes) against their closed
+    # classifiers, and six caps (d_max_n5), which have none: the feasibility
+    # filter excludes them.  Every entry lies in [p, p^2 - 1], so the largest
+    # power of p at most min(d) is q = p for every box walked.
     for n, classify, cube in ((3, wlp_classify_n3, spec.d_max),
-                              (4, wlp_classify_n4, spec.d_max_n4)):
+                              (4, wlp_classify_n4, spec.d_max_n4),
+                              (5, None, spec.d_max_n5)):
         if cube is None:
             continue
         for p in spec.p_list:
@@ -384,33 +390,20 @@ def verify_wlp_grid(spec: GridSpec) -> dict:
                 range(p, min(cube, p * p - 1) + 1), n + 1)
             for d in _fitting(points, spec.matrix_cap, buckets):
                 try:
-                    claimed = classify(p, d)
+                    claimed = (classify(p, d) if classify
+                               else _scope_report(p, d, n + 1))
                 except NotApplicableError:
                     buckets[f"n{n}_out_of_scope"] += 1
                     continue
-                buckets[f"n{n}_classified"] += 1
+                buckets[f"n{n}_classified" if classify else "n5_checked"] += 1
                 actual = _wlp_verdict(p, d, cache)
-                if claimed != actual:
+                if classify and claimed != actual:
                     discrepancies.append({"check": f"wlp_classify_n{n}",
                                           "p": p, "d": list(d),
                                           "classified": claimed,
                                           "profile": actual})
                 if actual:
-                    verdict_true.append((n, p, applicability(p, d).q, d))
-
-    # six caps with q > 1, which the feasibility filter excludes
-    for p in spec.p_list:
-        points = combinations_with_replacement(
-            range(p, min(spec.d_max_n5, p * p - 1) + 1), 6)
-        for d in _fitting(points, spec.matrix_cap, buckets):
-            try:
-                q = _scope_report(p, d, 6).q
-            except NotApplicableError:
-                buckets["n5_out_of_scope"] += 1
-                continue
-            buckets["n5_checked"] += 1
-            if _wlp_verdict(p, d, cache):
-                verdict_true.append((5, p, q, d))
+                    verdict_true.append((n, p, p, d))
 
     # no tuple with WLP may be excluded by the feasibility filter
     for n, p, q, d in verdict_true:

@@ -12,7 +12,7 @@ PACKAGE = Path(nonkoszul.__file__).parent
 
 ALLOWED = {
     "modp": set(),
-    "monomials": set(),
+    "monomials": {"modp"},
     "linalg": {"modp"},
     "oracle": {"linalg", "modp", "monomials"},
     "formulas": {"modp", "monomials", "oracle"},

@@ -389,6 +389,7 @@ def test_report_bytes_are_pinned():
         "ef3e4c29dd4bf4992f638d65a45390e33e01e75b765354a506c2e32b51d57700",
         "f40b00c1ba53239f38892bbe2b72578a0f1f6bd0deb795dd2e63e65f4ccaab35",
         "1dc6baea2349f5ac3d1139bcafef2cc7a3236105a364902947dd2b1630b65cf7",
+        "aa7d045184959b25d276c1bda1740a14f332751239b324b4e749534eeea9974b",
     ]
     docs = [
         {"kind": "e", "p_list": [2, 3], "n_list": [3], "sum_max": 12},
@@ -401,6 +402,8 @@ def test_report_bytes_are_pinned():
          "paths": "main"},
         {"kind": "e", "p_list": [2, 5], "n_list": [2], "d_max": 8,
          "paths": "han"},
+        {"kind": "wlp", "p_list": [2, 3], "n_list": [3, 4], "sum_max": 12,
+         "d_max": 6, "d_max_n4": 5, "d_max_n5": 4},
     ]
     assert [_sha256(run_grid(doc)) for doc in docs] == pinned
 
