@@ -15,7 +15,7 @@ from functools import partial
 from itertools import compress, product
 from operator import add, not_
 
-from .modp import _as_int, check_prime, largest_power_leq
+from .modp import _as_int, _powers, check_prime, largest_power_leq
 from .monomials import check_box
 from .oracle import EResult, _degenerate, e_degree_oracle
 
@@ -157,13 +157,8 @@ def ep_han(p: int, d1: int, d2: int, d3: int) -> int:
     d = check_box((d1, d2, d3))
     if 2 * max(d) > sum(d):
         raise NotApplicableError(("triangle_inequality",))
-    values = []
-    q = 1
-    while q <= sum(d):
-        values.append(_split_minimum(q, [x // q for x in d],
-                                     [x % q for x in d], _char0_value))
-        q *= p
-    return min(values)
+    return min(_split_minimum(q, [x // q for x in d], [x % q for x in d],
+                              _char0_value) for q in _powers(p, sum(d)))
 
 
 def ep_dispatch(p: int, d, method: str = "auto",
@@ -268,9 +263,7 @@ def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
         raise ValueError("need n >= 1")
     if a % p == 0:
         raise ValueError(f"a must be prime to p, got a={a}, p={p}")
-    e = 0
-    while p ** e < a:
-        e += 1
+    e = len(list(_powers(p, a - 1)))
     q = p ** e
     kappa = q // a
     s = q - kappa * a

@@ -1,9 +1,11 @@
-"""Prime moduli and prime powers: the checks every modulus passes, and p^e bounds."""
+"""Prime moduli and prime powers: the checks every modulus passes, and
+`_powers`, the one walk over 1, p, p^2, ... that every p^e bound takes."""
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from math import isqrt
 
 MAX_PRIME = 2**31  # products of two residues must stay inside a 64-bit word
 
@@ -11,18 +13,7 @@ MAX_PRIME = 2**31  # products of two residues must stay inside a 64-bit word
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Deterministic trial division; adequate for word-sized moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _as_int(value) -> int:
@@ -44,6 +35,14 @@ def check_prime(p: int) -> int:
     return p
 
 
+def _powers(p: int, x: int):
+    """1, p, p^2, ... up to x, for a p >= 2 that the caller has checked."""
+    q = 1
+    while q <= x:
+        yield q
+        q *= p
+
+
 def largest_power_leq(p: int, x: int) -> tuple[int, int]:
     """Largest q = p^e with q <= x, returned as (q, e). Requires p >= 2,
     without which the powers never pass x, and x >= 1."""
@@ -51,8 +50,5 @@ def largest_power_leq(p: int, x: int) -> tuple[int, int]:
         raise ValueError(f"need p >= 2, got {p}")
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    q, e = 1, 0
-    while q * p <= x:
-        q *= p
-        e += 1
-    return q, e
+    powers = list(_powers(p, x))
+    return powers[-1], len(powers) - 1

@@ -14,14 +14,14 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
-from math import comb
+from math import comb, prod
 
 from .formulas import (NotApplicableError, _char0_value, _condition_char0,
                        _scope_report, _splits, applicability, ep_dispatch,
                        fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
-from .modp import _as_int, check_prime
+from .modp import _as_int, _powers, check_prime
 from .monomials import _hilbert_cached
 from .oracle import (MATRIX_CAP, e_degree_oracle, socle_degree_oracle,
                      wlp_rank_profile)
@@ -143,7 +143,10 @@ def _simplex(m: int, sum_max: int, nondecreasing: bool = False):
 
 
 def _box_feasible(d: tuple[int, ...], cap: int) -> bool:
-    return max(_hilbert_cached(d)) <= cap
+    # prod(d) monomials in sum(d) - len(d) + 1 degrees: a mean piece above cap
+    # puts the largest one above it too, so H is built only when it can fit
+    return (prod(d) <= cap * (sum(d) - len(d) + 1)
+            and max(_hilbert_cached(d)) <= cap)
 
 
 def _fitting(points, cap: int, buckets: dict, box=lambda d: d):
@@ -283,8 +286,7 @@ def verify_e_grid(spec: GridSpec) -> dict:
                 found = len(discrepancies)
                 splits = steps = 0
                 # upper bounds from every base-q split of the tuple
-                q = 1
-                while q <= min(d):
+                for q in _powers(p, min(d)):
                     splits += 1
                     for eps, kk, rest in _splits([x // q for x in d],
                                                  [x % q for x in d]):
@@ -296,7 +298,6 @@ def verify_e_grid(spec: GridSpec) -> dict:
                                 "check": "power_split_bound", "p": p,
                                 "d": list(d), "q": q, "eps": list(eps),
                                 "oracle": oracle_value, "bound": bound})
-                    q *= p
                 # coordinatewise monotonicity with unit steps
                 for i in range(n + 1):
                     bumped = tuple(di + 1 if j == i else di

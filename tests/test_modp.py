@@ -1,6 +1,6 @@
 import pytest
 
-from nonkoszul.modp import check_prime, is_prime, largest_power_leq
+from nonkoszul.modp import _powers, check_prime, is_prime, largest_power_leq
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -9,6 +9,35 @@ from nonkoszul.modp import check_prime, is_prime, largest_power_leq
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def _is_prime_reference(n):
+    # trial division by 2 and the odd numbers, stepped by hand
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_matches_odd_step_reference():
+    # the uncached function, so the sweep leaves the process cache as it was
+    for n in [*range(-50, 200_000), 2**31 - 1]:
+        assert is_prime.__wrapped__(n) is _is_prime_reference(n), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 8191])
+def test_powers_are_the_powers_up_to_x(p):
+    for x in (0, 1, p - 1, p, p * p, 10**6):
+        assert list(_powers(p, x)) == \
+            [p**e for e in range(64) if p**e <= x], (p, x)
 
 
 @pytest.mark.parametrize("p", [True, "7", 7.0, 3.9, None])

@@ -338,6 +338,29 @@ def _sha256(report) -> str:
     return hashlib.sha256(canonical_json(report).encode()).hexdigest()
 
 
+def test_large_prime_wlp_grid_skips_without_hilbert_functions(monkeypatch):
+    # at p = 4999 every box's mean piece is above the cap, so the grid skips
+    # all 35 boxes without building (or caching) a Hilbert function
+    def no_hilbert(caps):
+        raise AssertionError(f"Hilbert function built for {caps}")
+
+    monkeypatch.setattr(verify, "_hilbert_cached", no_hilbert)
+    report = run_grid({"kind": "wlp", "p_list": [4999], "n_list": [3],
+                       "d_max": 5002})
+    assert report["totals"]["skipped"] == report["totals"]["enumerated"] == 35
+    assert _sha256(report) == \
+        "44451ecf27874af0322369945bfafd6bc9f14e51ed26961a63f73d4a2ba2b7b1"
+
+
+def test_box_feasible_decides_as_the_largest_piece():
+    # the mean-piece test in front of H changes no decision
+    for m in range(1, 5):
+        for d in itertools.combinations_with_replacement(range(1, 13), m):
+            for cap in (1, 7, 50, 500, 5000):
+                assert verify._box_feasible(d, cap) == \
+                    (max(_hilbert_cached(d)) <= cap), (d, cap)
+
+
 def test_agreements_count_failing_points_once(monkeypatch):
     # a forced WLP verdict fails 7 equivalence points (their profile lacks
     # WLP), 48 four- and five-cap classifications and 14 six-cap boxes (the
