@@ -10,7 +10,7 @@ from .formulas import (ApplicabilityReport, FThresholdResult,
                        wlp_classify_n3, wlp_classify_n4, wlp_criterion,
                        wlp_feasibility_filter)
 from .linalg import MatrixFp, kernel_witness, rank
-from .modp import check_prime, is_prime, largest_power_leq
+from .modp import check_prime, is_prime
 from .monomials import slice_array
 from .oracle import (EResult, KernelWitness, WlpRecord, WlpReport,
                      e_degree_oracle, mult_map, socle_degree_oracle,
@@ -27,8 +27,8 @@ __all__ = [
     "WlpReport", "applicability", "canonical_json", "check_prime",
     "e_degree_oracle", "ep_dispatch",
     "ep_han", "ep_main", "frac_str", "fthreshold_convergence",
-    "fthreshold_formula", "is_prime", "kernel_witness", "largest_power_leq",
-    "mult_map", "rank", "run_grid", "slice_array",
+    "fthreshold_formula", "is_prime", "kernel_witness", "mult_map", "rank",
+    "run_grid", "slice_array",
     "socle_degree_oracle", "tsd_formula",
     "verify_e_grid", "verify_tsd_grid", "verify_wlp_grid", "wlp_classify_n3",
     "wlp_classify_n4", "wlp_criterion", "wlp_feasibility_filter",

@@ -31,12 +31,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from functools import partial
 from itertools import compress, product
 from operator import add, not_
 
-from .modp import _as_int, _powers, check_prime, largest_power_leq
+from .modp import _at_least, _powers, check_prime
 from .monomials import check_box
 from .oracle import EResult, _degenerate, e_degree_oracle
 
@@ -67,7 +67,8 @@ def applicability(p: int, d) -> ApplicabilityReport:
     check_prime(p)
     d = check_box(d)
     n = len(d) - 1
-    q, e = largest_power_leq(p, min(d))
+    e = len(list(_powers(p, min(d)))) - 1
+    q = p ** e
     k, r = zip(*(divmod(di, q) for di in d))
     bound = (sum(k) - n + 1) // 2
     # q <= min d <= d_i, so q is the largest power of p at most d_i
@@ -210,9 +211,7 @@ def tsd_formula(p: int, K, a: int, method: str = "auto") -> int:
     Each E(c) comes from `ep_dispatch` by the route `method`."""
     check_prime(p)
     K = check_box(K)
-    a = _as_int(a)
-    if a < 1:
-        raise ValueError("exponent a must be positive")
+    a = _at_least(a, 1, "exponent a must be positive")
     k, e = zip(*(divmod(Ki, a) for Ki in K))
     return sum(K) - len(K) + a - _split_minimum(
         a, k, e, lambda c: ep_dispatch(p, c, method, want_witness=False).value)
@@ -255,12 +254,8 @@ def fthreshold_formula(p: int, a: int, n: int) -> FThresholdResult:
     so c = 1.  The fix changes outputs that the socle_sparse and query_mix
     benchmark digests record, so it waits for a change that re-records them."""
     check_prime(p)
-    a = _as_int(a)
-    n = _as_int(n)
-    if a < 1:
-        raise ValueError("exponent a must be positive")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    a = _at_least(a, 1, "exponent a must be positive")
+    n = _at_least(n, 1, "need n >= 1")
     if a % p == 0:
         raise ValueError(f"a must be prime to p, got a={a}, p={p}")
     e = len(list(_powers(p, a - 1)))
@@ -337,10 +332,7 @@ def wlp_feasibility_filter(n: int, p: int, q: int) -> bool:
     """Necessary-condition screen: False means WLP is impossible for these
     (n, p, q); True only means not excluded."""
     check_prime(p)
-    n, q = _as_int(n), _as_int(q)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if q < 1:
-        raise ValueError("need q >= 1")
+    n = _at_least(n, 1, "need n >= 1")
+    q = _at_least(q, 1, "need q >= 1")
     # q > 1 excludes every n >= 5, and n = 4 over F_2 unless q = 2
     return q == 1 or n <= 3 or (n == 4 and (p != 2 or q == 2))

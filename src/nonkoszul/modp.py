@@ -1,4 +1,4 @@
-"""Prime moduli and prime powers: the checks every modulus passes, and
+"""Prime moduli, integer arguments and prime powers: their checks, and
 `_powers`, the one walk over 1, p, p^2, ... that every p^e bound takes."""
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ def _as_int(value) -> int:
     return operator.index(value)
 
 
+def _at_least(value, low: int, message: str) -> int:
+    """`_as_int(value)`, which raises ValueError(message) below low."""
+    value = _as_int(value)
+    if value < low:
+        raise ValueError(message)
+    return value
+
+
 def check_prime(p: int) -> int:
     """Return p if it is a prime below 2^31, else raise ValueError."""
     p = _as_int(p)
@@ -42,13 +50,3 @@ def _powers(p: int, x: int):
         yield q
         q *= p
 
-
-def largest_power_leq(p: int, x: int) -> tuple[int, int]:
-    """Largest q = p^e with q <= x, returned as (q, e). Requires p >= 2,
-    without which the powers never pass x, and x >= 1."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    powers = list(_powers(p, x))
-    return powers[-1], len(powers) - 1

@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import MatrixFp, kernel_witness, rank
-from .modp import _as_int, check_prime
+from .modp import _as_int, _at_least, check_prime
 from .monomials import _hilbert_cached, _slice_cached, check_box
 
 MATRIX_CAP = 5000    # bound on each side of a dense multiplication matrix
@@ -126,9 +126,8 @@ def mult_map(caps, src_degree: int, power: int, p: int) -> MatrixFp:
     """
     caps = check_box(caps)
     p = check_prime(p)
-    src_degree, power = _as_int(src_degree), _as_int(power)
-    if power < 0:
-        raise ValueError("power must be nonnegative")
+    src_degree = _as_int(src_degree)
+    power = _at_least(power, 0, "power must be nonnegative")
     return _shift_matrix(caps, src_degree, power,
                          *_power_terms(caps, power, p), p)
 
@@ -365,9 +364,7 @@ def socle_degree_oracle(p: int, K, a: int) -> int:
     """
     caps = check_box(K)
     p = check_prime(p)
-    a = _as_int(a)
-    if a < 1:
-        raise ValueError("exponent a must be positive")
+    a = _at_least(a, 1, "exponent a must be positive")
     _check_pieces(caps)
     H = _hilbert_cached(caps)
     top = len(H) - 1

@@ -21,7 +21,7 @@ from .formulas import (NotApplicableError, _char0_value, _condition_char0,
                        fthreshold_formula, frac_str, tsd_formula,
                        wlp_classify_n3, wlp_classify_n4,
                        wlp_feasibility_filter)
-from .modp import _as_int, _powers, check_prime
+from .modp import _as_int, _at_least, _powers, check_prime
 from .monomials import _hilbert_cached
 from .oracle import (MATRIX_CAP, e_degree_oracle, socle_degree_oracle,
                      wlp_rank_profile)
@@ -41,7 +41,7 @@ class GridSpec:
     A bound or matrix cap below 1 would check nothing, and a cap above
     MATRIX_CAP would admit points the builder refuses, stopping the run."""
 
-    kind: str                       # e | wlp | tsd | fthreshold_convergence
+    kind: str                       # a key of _GRIDS
     p_list: tuple[int, ...] = ()
     n_list: tuple[int, ...] = ()
     sum_max: int | None = None      # simplex bound on sum(d)
@@ -93,7 +93,7 @@ class GridSpec:
             if f.name in ("p_list", "n_list") and len(set(value)) < len(value):
                 raise ValueError(f"grid field {f.name!r} must hold no "
                                  f"repeated entries, got {list(value)}")
-        if self.kind not in ("e", "wlp", "tsd", "fthreshold_convergence"):
+        if self.kind not in _GRIDS:
             raise ValueError(f"unknown grid kind: {self.kind!r}")
         if self.paths not in ("all", "main", "han"):
             raise ValueError(f"unknown paths filter: {self.paths!r}")
@@ -106,10 +106,9 @@ class GridSpec:
             except ValueError as exc:
                 raise ValueError(f"grid field 'p_list': {exc}") from None
         for key in ("sum_max", "d_max", "K_max", "a_max", "matrix_cap"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ValueError(f"grid field {key!r} must be at least 1, "
-                                 f"got {value}")
+            if (value := getattr(self, key)) is not None:
+                _at_least(value, 1, f"grid field {key!r} must be at least 1, "
+                                    f"got {value}")
         if self.matrix_cap > MATRIX_CAP:
             raise ValueError(f"grid field 'matrix_cap' must be at most "
                              f"{MATRIX_CAP}, got {self.matrix_cap}")
@@ -121,8 +120,7 @@ class GridSpec:
             if None in (self.p, self.a, self.n, self.e_max):
                 raise ValueError(
                     "fthreshold_convergence grid needs p, a, n, e_max")
-            if self.e_max < 0:
-                raise ValueError(f"need e_max >= 0, got {self.e_max}")
+            _at_least(self.e_max, 0, f"need e_max >= 0, got {self.e_max}")
         for key in ("p_list", "n_list"):
             object.__setattr__(self, key, tuple(sorted(getattr(self, key))))
 
@@ -449,22 +447,25 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     deviation c - nu(q)/q increases from one reported row to the next.  The
     arguments are checked and read as the fields of a `GridSpec` of this kind.
     """
-    spec = GridSpec(kind="fthreshold_convergence", p=p, a=a, n=n,
-                    e_max=e_max, matrix_cap=matrix_cap)
-    p, a, n, e_max, matrix_cap = (spec.p, spec.a, spec.n, spec.e_max,
-                                  spec.matrix_cap)
+    return _fthreshold_grid(GridSpec(kind="fthreshold_convergence", p=p, a=a,
+                                     n=n, e_max=e_max, matrix_cap=matrix_cap))
+
+
+def _fthreshold_grid(spec: GridSpec) -> dict:
+    """`fthreshold_convergence` on the fields of a checked spec."""
+    p, a, n = spec.p, spec.a, spec.n
     result = fthreshold_formula(p, a, n)
     rows = []
     discrepancies = []
     skipped = []
     outside = 0
-    for e in range(e_max + 1):
+    for e in range(spec.e_max + 1):
         q = p ** e
         if q % a != 1 % a:
             outside += 1
             continue
         peak = _cube_peak(q, n + 1)
-        if peak > matrix_cap:
+        if peak > spec.matrix_cap:
             skipped.append({"e": e, "q": q, "reason": "matrix_cap",
                             "peak_dimension": peak})
             continue
@@ -485,12 +486,12 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
         last = dev
     return {
         "spec": {"kind": "fthreshold_convergence", "p": p, "a": a, "n": n,
-                 "e_max": e_max, "matrix_cap": matrix_cap},
+                 "e_max": spec.e_max, "matrix_cap": spec.matrix_cap},
         "c": frac_str(result.c),
         "M": frac_str(result.M),
         "terms": [frac_str(t) for t in result.terms],
         "rows": rows,
-        "totals": {"enumerated": e_max + 1, "reported": len(rows),
+        "totals": {"enumerated": spec.e_max + 1, "reported": len(rows),
                    "skipped": len(skipped), "outside_subsequence": outside,
                    "discrepancies": len(discrepancies)},
         "buckets": {"reported": len(rows), "skipped": len(skipped)},
@@ -499,17 +500,15 @@ def fthreshold_convergence(p: int, a: int, n: int, e_max: int,
     }
 
 
+# kind -> runner of a checked spec, by name: each call reads the module global
+_GRIDS = {"fthreshold_convergence": "_fthreshold_grid", "e": "verify_e_grid",
+          "wlp": "verify_wlp_grid", "tsd": "verify_tsd_grid"}
+
+
 def run_grid(doc: dict) -> dict:
     """Run the grid described by a plain dict (the CLI's --grid payload)."""
     spec = GridSpec.from_dict(doc)
-    if spec.kind == "e":
-        return verify_e_grid(spec)
-    if spec.kind == "wlp":
-        return verify_wlp_grid(spec)
-    if spec.kind == "tsd":
-        return verify_tsd_grid(spec)
-    return fthreshold_convergence(spec.p, spec.a, spec.n, spec.e_max,
-                                  matrix_cap=spec.matrix_cap)
+    return globals()[_GRIDS[spec.kind]](spec)
 
 
 def discrepancies_csv(report: dict) -> str:

@@ -264,6 +264,24 @@ def test_verify_bad_grid_exits_1(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["e", "--p", "5", "--d", "6,,7,11,12"],
+    ["e", "--p", "5", "--d", "6,7,11,12,"],
+    ["e", "--p", "5", "--d", ",6,7,11,12"],
+    ["tsd", "--p", "3", "--K", "4,,5", "--a", "2"],
+    ["wlp", "--p", "3", "--d", "3,3,,3"],
+], ids=" ".join)
+def test_list_with_an_empty_field_is_refused(args, capsys):
+    # an empty field is not dropped, which would answer a shorter tuple
+    text = next(arg for arg in args if "," in arg)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"not a comma-separated integer list: {text!r}" in err
+
+
 COMPOSITE = "error: modulus 4 is not prime"
 ZERO_ENTRY = "error: exponents must be positive, got ({})"
 A_ZERO = "error: exponent a must be positive"

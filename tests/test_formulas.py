@@ -29,7 +29,6 @@ from nonkoszul.formulas import (
     wlp_criterion,
     wlp_feasibility_filter,
 )
-from nonkoszul.modp import largest_power_leq
 from nonkoszul.oracle import e_degree_oracle, socle_degree_oracle
 from nonkoszul.verify import canonical_json
 
@@ -161,13 +160,16 @@ def test_splits_match_reference_generator():
 def test_applicability_matches_per_entry_powers():
     # the definition that finds the largest power of p at most every entry and
     # asks that they all equal q
+    def largest_power(p, x):
+        return max((p ** e, e) for e in range(64) if p ** e <= x)
+
     def reference(p, d):
-        q, e = largest_power_leq(p, min(d))
+        q, e = largest_power(p, min(d))
         k, r = zip(*(divmod(di, q) for di in d))
         bound = (sum(k) - len(d) + 2) // 2
         flags = (
             ("same_q_for_all",
-             all(largest_power_leq(p, di)[0] == q for di in d)),
+             all(largest_power(p, di)[0] == q for di in d)),
             ("main_thm_k_range", all(1 <= ki <= p - 1 for ki in k)),
             ("main_thm_condition5", all(ki <= bound for ki in k)),
         )
@@ -185,6 +187,18 @@ def test_applicability_matches_per_entry_powers():
             rep = applicability(p, d)
             assert (rep.q, rep.e, rep.k, rep.r, rep.failing) == \
                 reference(p, d), (p, d)
+
+
+@pytest.mark.parametrize("p,bound,q,e", [
+    (3, 1, 1, 0),
+    (3, 8, 3, 1),
+    (3, 9, 9, 2),
+    (2, 25, 16, 4),
+    (7, 6, 1, 0),
+])
+def test_applicability_q_is_largest_power_at_most_min_d(p, bound, q, e):
+    rep = applicability(p, (bound,) * 4)
+    assert (rep.q, rep.e) == (q, e)
 
 
 def test_applicability_flags():

@@ -1,6 +1,12 @@
 import pytest
 
-from nonkoszul.modp import _powers, check_prime, is_prime, largest_power_leq
+from nonkoszul.formulas import (fthreshold_formula, tsd_formula,
+                                wlp_feasibility_filter)
+from nonkoszul.modp import _powers, check_prime, is_prime
+from nonkoszul.oracle import mult_map, socle_degree_oracle
+from nonkoszul.verify import GridSpec
+
+TSD = {"kind": "tsd", "p_list": [2], "n_list": [2], "K_max": 3, "a_max": 2}
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -53,19 +59,26 @@ def test_check_prime_rejects_composites():
         check_prime(1)
 
 
-@pytest.mark.parametrize("p,bound,q,e", [
-    (3, 1, 1, 0),
-    (3, 8, 3, 1),
-    (3, 9, 9, 2),
-    (2, 25, 16, 4),
-    (7, 6, 1, 0),
-])
-def test_largest_power_leq(p, bound, q, e):
-    assert largest_power_leq(p, bound) == (q, e)
-
-
-@pytest.mark.parametrize("p", [1, 0, -2])
-def test_largest_power_leq_refuses_bases_below_two(p):
-    # the powers of such a base never exceed x, so the search would not end
-    with pytest.raises(ValueError, match="need p >= 2"):
-        largest_power_leq(p, 5)
+# each argument that must reach a lower bound, one below it, with the message
+# its entry point raises
+@pytest.mark.parametrize("call,message", [
+    (lambda: tsd_formula(3, (2, 2), 0), "exponent a must be positive"),
+    (lambda: socle_degree_oracle(3, (2, 2), 0), "exponent a must be positive"),
+    (lambda: fthreshold_formula(3, 0, 1), "exponent a must be positive"),
+    (lambda: fthreshold_formula(3, 2, 0), "need n >= 1"),
+    (lambda: wlp_feasibility_filter(0, 3, 1), "need n >= 1"),
+    (lambda: wlp_feasibility_filter(1, 3, 0), "need q >= 1"),
+    (lambda: mult_map((2, 2), 0, -1, 3), "power must be nonnegative"),
+    *[(lambda key=key: GridSpec(**{**TSD, key: 0}),
+       f"grid field {key!r} must be at least 1, got 0")
+      for key in ("sum_max", "d_max", "K_max", "a_max", "matrix_cap")],
+    (lambda: GridSpec(kind="fthreshold_convergence", p=3, a=2, n=2, e_max=-1),
+     "need e_max >= 0, got -1"),
+], ids=["tsd_formula", "socle_degree_oracle", "fthreshold_formula-a",
+        "fthreshold_formula-n", "wlp_feasibility_filter-n",
+        "wlp_feasibility_filter-q", "mult_map", "sum_max", "d_max", "K_max",
+        "a_max", "matrix_cap", "e_max"])
+def test_bounded_arguments_refuse_one_below_the_bound(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -461,6 +461,43 @@ def test_e_grid_records_every_arrangement_of_a_failing_multiset(monkeypatch):
     ]
 
 
+def test_e_grid_records_an_asymmetric_oracle(monkeypatch):
+    # the main loop reads the oracle on sorted keys, so an oracle off by one
+    # on every unsorted tuple shows only in the symmetry section
+    real = verify.e_degree_oracle
+
+    def asymmetric(p, d, want_witness=True):
+        res = real(p, d, want_witness=want_witness)
+        if list(d) == sorted(d):
+            return res
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(verify, "e_degree_oracle", asymmetric)
+    report = run_grid(E)
+    records = report["discrepancies"]
+    assert {rec["check"] for rec in records} == {"symmetry"}
+    assert len(records) == 5
+    assert (report["totals"]["checked"], report["totals"]["agreements"]) == \
+        (20, 15)
+    assert records[0] == {"check": "symmetry", "p": 2, "d": [1, 1, 2],
+                          "values": {"1,1,2": 2, "1,2,1": 3, "2,1,1": 3}}
+
+
+def test_tsd_grid_records_formula_against_oracle(monkeypatch):
+    real = verify.tsd_formula
+    monkeypatch.setattr(verify, "tsd_formula",
+                        lambda p, K, a, method="auto":
+                        real(p, K, a, method=method) + 1)
+    report = run_grid({"kind": "tsd", "p_list": [2], "n_list": [1],
+                       "K_max": 3, "a_max": 2})
+    records = report["discrepancies"]
+    assert len(records) == 6
+    assert {rec["check"] for rec in records} == {"tsd_formula_vs_oracle"}
+    assert report["totals"]["agreements"] == 0
+    assert records[0] == {"check": "tsd_formula_vs_oracle", "p": 2,
+                          "K": [1, 1], "a": 1, "formula": 1, "oracle": 0}
+
+
 def test_tsd_grid_small_clean():
     report = run_grid({"kind": "tsd", "p_list": [2, 3], "n_list": [2],
                        "K_max": 4, "a_max": 3})
@@ -528,6 +565,22 @@ def test_run_grid_dispatch_and_determinism():
     a = canonical_json(run_grid(doc))
     b = canonical_json(run_grid(doc))
     assert a == b
+
+
+def test_run_grid_checks_a_fthreshold_grid_once(monkeypatch):
+    # the checked spec goes to the grid's runner, which builds no second one
+    built = []
+    post_init = GridSpec.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(GridSpec, "__post_init__", counted)
+    report = run_grid(FTC)
+    assert built == ["fthreshold_convergence"]
+    assert canonical_json(report) == \
+        canonical_json(fthreshold_convergence(3, 2, 2, 2))
 
 
 def test_run_grid_rejects_unknown_kind():
