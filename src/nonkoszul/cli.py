@@ -16,7 +16,7 @@ import sys
 from .formulas import (NotApplicableError, _refused_minimum, ep_dispatch,
                        fthreshold_formula, tsd_formula)
 from .oracle import MATRIX_CAP, socle_degree_oracle, wlp_rank_profile
-from .verify import (_simplex, canonical_json, discrepancies_csv,
+from .verify import (_GRIDS, _simplex, canonical_json, discrepancies_csv,
                      fthreshold_convergence, run_grid)
 
 
@@ -86,7 +86,11 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", parents=[fmt, output],
                         help="run a verification grid from a JSON file")
-    pv.add_argument("--grid", required=True, help="grid spec JSON path")
+    pv.add_argument("--grid", required=True,
+                    help="grid spec JSON path: an object with a kind and the "
+                         "fields that kind reads; "
+                         + "; ".join(f"{kind}: {' '.join(read)}"
+                                     for kind, (_, read) in _GRIDS.items()))
     pv.add_argument("--csv", help="also write discrepancies as CSV here")
 
     pb = sub.add_parser("table", parents=[output],

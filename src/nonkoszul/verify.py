@@ -39,7 +39,9 @@ class GridSpec:
     checked here, however the spec is built; p_list and n_list become sorted
     tuples once checked, so messages show them as given.
     A bound or matrix cap below 1 would check nothing, and a cap above
-    MATRIX_CAP would admit points the builder refuses, stopping the run."""
+    MATRIX_CAP would admit points the builder refuses, stopping the run.
+    A field that the kind's runner does not read (see _GRIDS) must keep its
+    default: a value there would change nothing, so it is refused."""
 
     kind: str                       # a key of _GRIDS
     p_list: tuple[int, ...] = ()
@@ -93,7 +95,8 @@ class GridSpec:
             if f.name in ("p_list", "n_list") and len(set(value)) < len(value):
                 raise ValueError(f"grid field {f.name!r} must hold no "
                                  f"repeated entries, got {list(value)}")
-        if self.kind not in _GRIDS:
+        # a list or object kind is unknown too, though it cannot be hashed
+        if not isinstance(self.kind, str) or self.kind not in _GRIDS:
             raise ValueError(f"unknown grid kind: {self.kind!r}")
         if self.paths not in ("all", "main", "han"):
             raise ValueError(f"unknown paths filter: {self.paths!r}")
@@ -121,6 +124,14 @@ class GridSpec:
                 raise ValueError(
                     "fthreshold_convergence grid needs p, a, n, e_max")
             _at_least(self.e_max, 0, f"need e_max >= 0, got {self.e_max}")
+        # last, so a spec with one bad value gets that value's message
+        read = _GRIDS[self.kind][1]
+        unread = sorted(f.name for f in fields(self) if f.name != "kind"
+                        and f.name not in read
+                        and getattr(self, f.name) != f.default)
+        if unread:
+            raise ValueError(f"grid kind {self.kind!r} does not read "
+                             f"fields {unread}")
         for key in ("p_list", "n_list"):
             object.__setattr__(self, key, tuple(sorted(getattr(self, key))))
 
@@ -485,8 +496,8 @@ def _fthreshold_grid(spec: GridSpec) -> dict:
                      "within_bound": abs(dev) <= bound})
         last = dev
     return {
-        "spec": {"kind": "fthreshold_convergence", "p": p, "a": a, "n": n,
-                 "e_max": spec.e_max, "matrix_cap": spec.matrix_cap},
+        "spec": {"kind": spec.kind, **{key: getattr(spec, key)
+                                       for key in _GRIDS[spec.kind][1]}},
         "c": frac_str(result.c),
         "M": frac_str(result.M),
         "terms": [frac_str(t) for t in result.terms],
@@ -500,15 +511,24 @@ def _fthreshold_grid(spec: GridSpec) -> dict:
     }
 
 
-# kind -> runner of a checked spec, by name: each call reads the module global
-_GRIDS = {"fthreshold_convergence": "_fthreshold_grid", "e": "verify_e_grid",
-          "wlp": "verify_wlp_grid", "tsd": "verify_tsd_grid"}
+# kind -> (runner of a checked spec, by name so that each call reads the
+# module global; the GridSpec fields that runner reads besides kind)
+_GRIDS = {
+    "e": ("verify_e_grid", ("p_list", "n_list", "sum_max", "d_max", "paths",
+                            "matrix_cap", "symmetry_sum_max")),
+    "wlp": ("verify_wlp_grid", ("p_list", "n_list", "sum_max", "d_max",
+                                "d_max_n4", "d_max_n5", "matrix_cap")),
+    "tsd": ("verify_tsd_grid", ("p_list", "n_list", "K_max", "a_max",
+                                "matrix_cap")),
+    "fthreshold_convergence": ("_fthreshold_grid",
+                               ("p", "a", "n", "e_max", "matrix_cap")),
+}
 
 
 def run_grid(doc: dict) -> dict:
     """Run the grid described by a plain dict (the CLI's --grid payload)."""
     spec = GridSpec.from_dict(doc)
-    return globals()[_GRIDS[spec.kind]](spec)
+    return globals()[_GRIDS[spec.kind][0]](spec)
 
 
 def discrepancies_csv(report: dict) -> str:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nonkoszul
-from nonkoszul import cli, oracle
+from nonkoszul import cli, oracle, verify
 from nonkoszul.monomials import _hilbert_cached, slice_array
 from nonkoszul.oracle import mult_map
 from nonkoszul.verify import MATRIX_CAP, GridSpec, canonical_json
@@ -225,10 +225,12 @@ def test_verify_bad_grid_exits_1(tmp_path):
     grid.write_text(json.dumps({"kind": "e", "p_list": [2], "sum_max": 5}))
     proc = run_cli("verify", "--grid", str(grid), expect=1)
     assert proc.stderr == "error: grid enumerates no point\n"
-    # wrongly typed fields are refused with a message, not a traceback
+    # wrongly typed fields, a kind that is a list and a field the kind does
+    # not read are refused with a message, not a traceback
     for field, value in (("sum_max", "12"), ("d_max_n4", None),
                          ("d_max", 4.0), ("matrix_cap", True), ("p_list", 2),
-                         ("n_list", [3, "3"]), ("n_list", [-1])):
+                         ("n_list", [3, "3"]), ("n_list", [-1]),
+                         ("kind", ["wlp"]), ("K_max", 9)):
         doc = {"kind": "wlp", "p_list": [2], "n_list": [3], "sum_max": 8,
                "d_max": 4}
         doc[field] = value
@@ -262,6 +264,15 @@ def test_verify_bad_grid_exits_1(tmp_path):
         proc = run_cli("verify", "--grid", str(grid), expect=1)
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+def test_verify_help_names_each_kinds_fields(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for kind, (_, read) in verify._GRIDS.items():
+        assert f"{kind}: {' '.join(read)}" in help_text
 
 
 @pytest.mark.parametrize("args", [

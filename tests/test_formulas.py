@@ -470,6 +470,10 @@ def test_classify_n3_out_of_scope():
     with pytest.raises(NotApplicableError) as info:
         wlp_classify_n3(2, (2, 2, 2, 9))
     assert "same_q_for_all" in info.value.failing
+    # a tuple of another length is an error, not a box out of scope
+    with pytest.raises(ValueError) as exc:
+        wlp_classify_n3(2, (2, 2, 2, 2, 2))
+    assert str(exc.value) == "expected 4 degrees, got 5"
 
 
 def test_classify_n4():

@@ -57,6 +57,10 @@ def test_check_prime_rejects_composites():
         check_prime(6)
     with pytest.raises(ValueError):
         check_prime(1)
+    # a product of two residues must fit in 64 bits, so p stays below 2^31
+    with pytest.raises(ValueError) as exc:
+        check_prime(2**31)
+    assert str(exc.value) == "modulus 2147483648 too large (must be < 2^31)"
 
 
 # each argument that must reach a lower bound, one below it, with the message

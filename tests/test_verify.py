@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 
@@ -242,17 +244,45 @@ FTC = {"kind": "fthreshold_convergence", "p": 3, "a": 2, "n": 2, "e_max": 2}
      "grid field 'p_list' must hold no repeated entries, got [2, 3, 2]"),
     ({**E, "n_list": [2, 2]},
      "grid field 'n_list' must hold no repeated entries, got [2, 2]"),
+    # a kind that cannot be hashed is as unknown as any other
+    ({**E, "kind": ["e"]}, "unknown grid kind: ['e']"),
+    ({**E, "kind": {"a": 1}}, "unknown grid kind: {'a': 1}"),
+    # a field the kind does not read would change nothing, so it is refused
+    ({"kind": "e", "p_list": [2], "n_list": [2], "sum_max": 5, "K_max": 9,
+      "a_max": 4, "e_max": 3},
+     "grid kind 'e' does not read fields ['K_max', 'a_max', 'e_max']"),
+    ({**FTC, "p_list": [5], "sum_max": 3, "K_max": 9},
+     "grid kind 'fthreshold_convergence' does not read fields "
+     "['K_max', 'p_list', 'sum_max']"),
+    ({**WLP, "paths": "main"},
+     "grid kind 'wlp' does not read fields ['paths']"),
+    ({**TSD, "d_max": 4}, "grid kind 'tsd' does not read fields ['d_max']"),
 ])
 def test_grid_spec_refuses_alike_however_built(doc, message):
     builds = [lambda: GridSpec.from_dict(doc), lambda: GridSpec(**doc),
               lambda: run_grid(doc)]
-    if doc["kind"] == "fthreshold_convergence" and doc["e_max"] is not None:
-        args = {k: v for k, v in doc.items() if k != "kind"}
+    args = {k: v for k, v in doc.items() if k != "kind"}
+    if (doc["kind"] == "fthreshold_convergence" and doc["e_max"] is not None
+            and set(args) <= set(inspect.signature(
+                fthreshold_convergence).parameters)):
         builds.append(lambda: fthreshold_convergence(**args))
     for build in builds:
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", sorted(verify._GRIDS))
+def test_grids_table_lists_the_fields_each_runner_reads(kind):
+    # every spec.<field> in the runner's source, nested helpers included;
+    # kind selects the runner, so it is no field of its own
+    runner, read = verify._GRIDS[kind]
+    tree = ast.parse(inspect.getsource(getattr(verify, runner)))
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "spec"}
+    assert reads - {"kind"} == set(read)
+    assert set(read) < {f.name for f in dataclasses.fields(GridSpec)}
 
 
 def test_grid_spec_reads_numpy_integers():
@@ -515,6 +545,20 @@ def test_fthreshold_convergence_report():
     assert report["totals"]["discrepancies"] == 0
     # deviations shrink in absolute value once past the first entries
     assert rows[-1]["deviation"] == "-1/9"
+
+
+def test_fthreshold_convergence_records_a_rising_deviation():
+    # the threshold c = 4/5 that n = 1 gets is wrong (from q = 5 on the rows
+    # read nu = q + 1, so c = 1), and the deviation c - nu/q rises at e = 2
+    # and e = 3.
+    # ROADMAP item 1 replaces this check and re-pins this case.
+    report = fthreshold_convergence(5, 4, 1, 3)
+    assert [row["nu"] for row in report["rows"]] == [0, 6, 26, 126]
+    assert report["discrepancies"] == [
+        {"check": "deviation_monotone", "e": 2, "deviation": "-6/25",
+         "previous": "-2/5"},
+        {"check": "deviation_monotone", "e": 3, "deviation": "-26/125",
+         "previous": "-6/25"}]
 
 
 def test_fthreshold_convergence_checks_nu_against_formula(monkeypatch):
